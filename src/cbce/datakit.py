@@ -412,13 +412,26 @@ def _render(canvas: int, layers, rng) -> np.ndarray:
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
+RECORD_ATTEMPTS = 4
+
+
 def generate_record(cfg: SynthConfig, idx: int, bank: PhraseBank = DEFAULT_BANK):
     """One deterministic sample: (image, mask, affordance, phrases).
 
     The per-record generator stream is split from (seed, idx) so records
-    can be produced independently and in any order.
+    can be produced independently and in any order. A record whose objects
+    cannot all be placed is redrawn whole from the stream (seed, idx, attempt).
     """
-    rng = np.random.default_rng([cfg.seed, idx])
+    for attempt in range(RECORD_ATTEMPTS):
+        key = [cfg.seed, idx, attempt] if attempt else [cfg.seed, idx]
+        try:
+            return _draw_record(cfg, idx, bank, np.random.default_rng(key))
+        except PlacementError:
+            if attempt == RECORD_ATTEMPTS - 1:
+                raise
+
+
+def _draw_record(cfg: SynthConfig, idx: int, bank: PhraseBank, rng):
     target_cls = cfg.classes[idx % len(cfg.classes)]
     occupied = np.zeros((cfg.size, cfg.size), dtype=bool)
     target_mask = _place_object(target_cls, occupied, cfg.target_scale, rng, cfg)

@@ -7,11 +7,14 @@ exist; there is no broadcasting magic beyond what numpy provides and
 what the backward rules undo.
 
 Every forward result is checked for NaN/Inf and fails fast naming the
-producing operation.
+producing operation. A node holds its output only weakly, so a graph has
+no reference cycle: it lives exactly as long as its loss tensor and is
+freed by reference counting.
 """
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,17 +39,22 @@ _node_seq = itertools.count()
 
 
 class Node:
-    """One recorded operation: kind, input/output refs, backward rule."""
+    """One recorded operation: kind, inputs, weak output ref, backward rule."""
 
-    __slots__ = ("op", "inputs", "output", "backward_fn", "seq", "consumed")
+    __slots__ = ("op", "inputs", "_output", "output_id", "backward_fn", "seq", "consumed")
 
     def __init__(self, op, inputs, output, backward_fn):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        self._output = weakref.ref(output)
+        self.output_id = id(output)
         self.backward_fn = backward_fn
         self.seq = next(_node_seq)
         self.consumed = False
+
+    @property
+    def output(self):  # None once the tensor has been freed
+        return self._output()
 
     def __repr__(self):
         return f"Node({self.op}, seq={self.seq})"
@@ -60,7 +68,7 @@ class Tensor:
     axis order throughout the package.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -197,7 +205,7 @@ def backward(loss: Tensor, graph: Graph | None = None) -> None:
     holders: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(graph.nodes):
         node.consumed = True
-        gout = grads.get(id(node.output))
+        gout = grads.get(node.output_id)
         if gout is None:
             continue
         in_grads = node.backward_fn(gout)

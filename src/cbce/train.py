@@ -172,6 +172,7 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
                 for p in params.values():
                     p.grad = None
                 value = float(loss.item())
+                del loss  # frees this step's graph before the next forward pass
                 losses.append(value)
                 emit({"step": step, "lr": lr, "loss": value})
                 step += 1

@@ -1,9 +1,12 @@
 """Dataset generation, file formats, phrase sampling, augmentation."""
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from cbce import datakit
 from cbce.datakit import (
     DEFAULT_BANK,
     ManifestRecord,
@@ -117,6 +120,70 @@ def test_generate_record_deterministic():
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
     assert a[2] == b[2] and a[3] == b[3]
+
+
+TOY_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json")
+
+
+def _toy_synth(seed):
+    with open(TOY_CONFIG, encoding="utf-8") as fh:
+        return SynthConfig.from_dict({**json.load(fh)["synth"], "seed": seed})
+
+
+def _record_digest(record):
+    image, mask, affordance, phrases = record
+    h = hashlib.sha256(image.tobytes())
+    h.update(mask.tobytes())
+    h.update(repr((affordance, phrases)).encode())
+    return h.hexdigest()
+
+
+def test_records_placed_on_first_stream_are_unchanged():
+    # digests taken before placement failures were retried
+    toy = _toy_synth(21)
+    assert _record_digest(generate_record(toy, 0)) == (
+        "2368dfa0511c0d3e6d12b41277943b04c97e09e7c3920ea63c84428d6748e2fd")
+    assert _record_digest(generate_record(toy, 117)) == (
+        "200e147801e1f322d31e3cd85dcb0aa5fbdb917bfecacc818e08e0d1d66198fb")
+    assert _record_digest(generate_record(toy, 119)) == (
+        "de515548a18acc42ad11fb8d4c9465b5bb3984b8d8c248bf2fdab53262a8d3fb")
+    assert _record_digest(generate_record(SynthConfig(seed=5), 3)) == (
+        "aed2f258aa2952d818490aad69899e7d069db4c3a8648649b39f50e5a29563e2")
+
+
+def test_unplaceable_record_is_redrawn(monkeypatch):
+    # toy seed 21, record 118: the confuser does not fit on the first stream
+    cfg = _toy_synth(21)
+    calls = []
+    place = datakit._place_object
+
+    def logged(cls_name, occupied, scale_range, rng, cfg_):
+        calls.append((cls_name, scale_range))
+        return place(cls_name, occupied, scale_range, rng, cfg_)
+
+    monkeypatch.setattr(datakit, "_place_object", logged)
+    with pytest.raises(datakit.PlacementError):
+        datakit._draw_record(cfg, 118, DEFAULT_BANK, np.random.default_rng([cfg.seed, 118]))
+    calls.clear()
+    record = generate_record(cfg, 118)
+    image, mask, affordance, phrases = record
+    assert image.shape == (cfg.size, cfg.size, 3) and image.dtype == np.uint8
+    assert mask.shape == (cfg.size, cfg.size) and mask.any()
+    assert affordance == cfg.classes[118 % len(cfg.classes)]
+    assert len(phrases) == cfg.n_phrases
+    assert set(phrases) <= set(DEFAULT_BANK.phrases(affordance))
+    # the accepted draw: target, then the confuser at target scale, then
+    # small distractors, their count within distractor_range
+    last = max(i for i, (_, scale) in enumerate(calls) if scale == cfg.target_scale)
+    accepted = calls[last:]
+    assert accepted[0][0] == affordance
+    distractors = accepted[1:]
+    lo, hi = cfg.distractor_range
+    assert lo <= len(distractors) <= hi
+    assert distractors[0][1] == cfg.confuser_scale
+    assert all(scale == cfg.distractor_scale for _, scale in distractors[1:])
+    assert all(name != affordance for name, _ in distractors)
+    assert _record_digest(generate_record(cfg, 118)) == _record_digest(record)
 
 
 def test_synth_outputs_byte_identical(tmp_path):

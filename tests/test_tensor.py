@@ -1,9 +1,13 @@
 """Engine-level tests: forward semantics, backward rules, error policy."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from cbce import convops
 from cbce import tensor as T
+from cbce.gradcheck import micro_pipeline_entry, standard_op_suite
 from cbce.tensor import (
     Graph,
     GraphConsumedError,
@@ -271,6 +275,49 @@ def test_graph_trace_is_topological():
         for inp in n.inputs:
             if inp.node is not None:
                 assert pos[id(inp)] < i
+
+
+def cyclic_garbage(fn) -> int:
+    """Objects only the cyclic collector could free after ``fn()`` returns."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_no_op_creates_a_reference_cycle():
+    suite = {**standard_op_suite(), "vlm_lvm_aspp_bce": micro_pipeline_entry()}
+
+    def forward_backward(build):
+        fn, inputs = build(np.random.default_rng(0))
+        backward(T.tsum(fn(*inputs)))
+
+    leaks = {name: cyclic_garbage(lambda: forward_backward(build))
+             for name, build in suite.items()}
+    assert {name: n for name, n in leaks.items() if n} == {}
+
+
+def test_graph_is_freed_with_its_loss():
+    x = Tensor(np.ones(3), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        mid = T.mul(x, 2.0)
+        loss = T.tsum(T.tanh(mid))
+        ref, node = weakref.ref(mid), mid.node
+        del mid
+        assert node.output is ref() is not None  # the loss keeps its graph alive
+        backward(loss)
+        with pytest.raises(GraphConsumedError):
+            backward(loss)
+        del loss
+        assert ref() is None and node.output is None
+    finally:
+        gc.enable()
+    np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0) ** 2))
 
 
 def test_nonfinite_forward_fails_fast_with_op_name():

@@ -1,4 +1,5 @@
 """Checkpoint persistence, short training runs, and the CLI surface."""
+import gc
 import json
 import os
 
@@ -44,6 +45,18 @@ def tiny_data(tmp_path_factory):
     cfg = _tiny_config()
     synth_generate(cfg.synth, root)
     return str(root)
+
+
+def test_training_leaves_no_reference_cycle(tiny_data, tmp_path):
+    # each step's graph must be freed by reference counting alone
+    cfg = _tiny_config(max_steps=3)
+    gc.collect()
+    gc.disable()
+    try:
+        train(cfg, tiny_data, tmp_path / "run")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_checkpoint_binary_round_trip(tmp_path):
