@@ -34,7 +34,7 @@ print(f"smoothed loss: {head:.0f} -> {tail:.0f} (x{tail / head:.2f})")
 print("\nscoring the 200 held-out scenes...")
 report = evaluate_checkpoint(result.checkpoint_path, data_dir,
                              report_prefix=os.path.join(run_dir, "report"))
-print("overall:", {k: round(v, 3) for k, v in report.overall.items()})
+print("overall:", {k: v if v is None else round(v, 3) for k, v in report.overall.items()})
 print("per affordance IoU:")
 for cat, vals in report.per_category.items():
     print(f"  {cat:8s} {vals['iou']:.3f}")

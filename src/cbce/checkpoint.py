@@ -5,10 +5,16 @@ little-endian tensor payload. The header carries the config snapshot
 (model dims, vocabulary, training settings), the tensor manifest with
 offsets, optimizer moments, the step counter, and the generator state,
 so a checkpoint alone can rebuild the model for evaluation.
+
+A checkpoint is written to a temporary file beside its destination and
+moved into place with ``os.replace``, so a reader sees either the
+previous file or the complete new one. Loading rejects a file shorter
+than its header or its tensor manifest declares.
 """
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -64,13 +70,28 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "rng_state": ckpt.rng_state,
         "tensors": entries,
     }).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) < n:
+        raise ValueError(f"checkpoint {path} is truncated: {what} needs {n} bytes, "
+                         f"found {len(data)}")
+    return data
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -78,12 +99,16 @@ def load_checkpoint(path) -> Checkpoint:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
+        header = json.loads(_read_exact(fh, hlen, path, "header").decode("utf-8"))
         payload = fh.read()
+    need = max((e["offset"] + e["nbytes"] for e in header["tensors"]), default=0)
+    if len(payload) < need:
+        raise ValueError(f"checkpoint {path} is truncated: tensor payload needs {need} "
+                         f"bytes, found {len(payload)}")
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
     for ent in header["tensors"]:
         raw = payload[ent["offset"] : ent["offset"] + ent["nbytes"]]

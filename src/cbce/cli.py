@@ -93,7 +93,8 @@ def _cmd_eval(args) -> int:
     report = evaluate_checkpoint(args.ckpt, args.data, threshold=args.threshold,
                                  beta_sq=args.beta_sq, report_prefix=args.report,
                                  limit=args.limit)
-    print(json.dumps({"overall": report.overall, "images": len(report.per_image)}, indent=1))
+    print(json.dumps({"overall": report.overall, "images": len(report.per_image),
+                      "cc_images": report.cc_images["overall"]}, indent=1))
     return 0
 
 

@@ -8,7 +8,10 @@ threshold first; CC and MAE consume the raw map.
 
 Empty-mask conventions: two empty masks count as a perfect match for IoU
 and F-beta (1.0); E-phi of two constant maps is 1.0 when they are equal
-and 0.0 otherwise.
+and 0.0 otherwise. CC is undefined when either map is constant (an empty
+mask, a saturated prediction): ``pearson_cc`` raises, ``score_pair``
+gives None, and a dataset report averages CC over the images where it
+is defined.
 """
 from __future__ import annotations
 
@@ -87,10 +90,14 @@ def e_measure(pred, gt, threshold: float = 0.5) -> float:
     return float((((1.0 + xi) ** 2) / 4.0).mean())
 
 
+def _cc_defined(pred: np.ndarray, gt: np.ndarray) -> bool:
+    return pred.min() != pred.max() and gt.min() != gt.max()
+
+
 def pearson_cc(pred, gt) -> float:
     """Linear correlation of the raw maps; errors on constant input."""
     pred, gt = _check_pair(pred, gt)
-    if pred.min() == pred.max() or gt.min() == gt.max():
+    if not _cc_defined(pred, gt):
         raise ValueError("correlation undefined for a constant map")
     pc = pred - pred.mean()
     gc = gt - gt.mean()
@@ -104,11 +111,13 @@ def mae(pred, gt) -> float:
 
 
 def score_pair(pred, gt, threshold: float = 0.5, beta_sq: float = 0.3) -> dict:
+    """All five measures; ``cc`` is None where a constant map leaves it undefined."""
+    pred, gt = _check_pair(pred, gt)
     return {
         "iou": iou(pred, gt, threshold),
         "fbeta": f_measure(pred, gt, threshold, beta_sq),
         "ephi": e_measure(pred, gt, threshold),
-        "cc": pearson_cc(pred, gt),
+        "cc": pearson_cc(pred, gt) if _cc_defined(pred, gt) else None,
         "mae": mae(pred, gt),
     }
 
@@ -120,7 +129,7 @@ class MetricRow:
     iou: float
     fbeta: float
     ephi: float
-    cc: float
+    cc: float | None  # None where a constant map leaves it undefined
     mae: float
 
 
@@ -131,6 +140,8 @@ class MetricReport:
     overall: dict = field(default_factory=dict)
     threshold: float = 0.5
     beta_sq: float = 0.3
+    # images whose cc is defined: {"per_category": {cat: n}, "overall": n}
+    cc_images: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -139,6 +150,7 @@ class MetricReport:
             "per_image": [asdict(r) for r in self.per_image],
             "per_category": self.per_category,
             "overall": self.overall,
+            "cc_images": self.cc_images,
         }
 
     def write_csv(self, path) -> None:
@@ -148,7 +160,7 @@ class MetricReport:
             for r in self.per_image:
                 writer.writerow(
                     [r.sample, r.affordance, repr(r.iou), repr(r.fbeta), repr(r.ephi),
-                     repr(r.cc), repr(r.mae)]
+                     "" if r.cc is None else repr(r.cc), repr(r.mae)]
                 )
 
     def write_json(self, path) -> None:
@@ -160,17 +172,40 @@ class MetricReport:
     def from_json(cls, path) -> "MetricReport":
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
+        rows = [MetricRow(**r) for r in d["per_image"]]
         return cls(
-            per_image=[MetricRow(**r) for r in d["per_image"]],
+            per_image=rows,
             per_category=d["per_category"],
             overall=d["overall"],
             threshold=d["threshold"],
             beta_sq=d["beta_sq"],
+            # reports written before cc_images existed: recount from the rows
+            cc_images=d.get("cc_images") or _cc_images(rows),
         )
 
 
 def _mean_block(rows) -> dict:
-    return {m: float(np.mean([getattr(r, m) for r in rows])) for m in METRIC_NAMES}
+    """Per-measure means; cc over the rows where it is defined (None if none)."""
+    block = {}
+    for m in METRIC_NAMES:
+        values = [getattr(r, m) for r in rows if getattr(r, m) is not None]
+        block[m] = float(np.mean(values)) if values else None
+    return block
+
+
+def _by_category(rows) -> dict:
+    by_cat: dict[str, list] = {}
+    for row in rows:
+        by_cat.setdefault(row.affordance, []).append(row)
+    return dict(sorted(by_cat.items()))
+
+
+def _cc_images(rows) -> dict:
+    """Count of images whose cc is defined, per category and overall."""
+    def count(rs):
+        return sum(r.cc is not None for r in rs)
+    return {"per_category": {cat: count(rs) for cat, rs in _by_category(rows).items()},
+            "overall": count(rows)}
 
 
 def evaluate_dataset(predictions, records, threshold: float = 0.5, beta_sq: float = 0.3,
@@ -179,7 +214,8 @@ def evaluate_dataset(predictions, records, threshold: float = 0.5, beta_sq: floa
 
     ``predictions`` maps record id -> probability map; ``masks`` maps
     record id -> binary ground truth (loaded from the record's mask file
-    when omitted). Overall numbers are unweighted means over images.
+    when omitted). Overall numbers are unweighted means over images; cc is
+    averaged over the images where it is defined, counted in ``cc_images``.
     """
     records = list(records)
     if not records:
@@ -196,9 +232,8 @@ def evaluate_dataset(predictions, records, threshold: float = 0.5, beta_sq: floa
             gt = (read_pgm(rec.mask_path) > 127).astype(np.float64)
         scores = score_pair(predictions[rec.id], gt, threshold, beta_sq)
         report.per_image.append(MetricRow(sample=rec.id, affordance=rec.affordance, **scores))
-    by_cat: dict[str, list] = {}
-    for row in report.per_image:
-        by_cat.setdefault(row.affordance, []).append(row)
-    report.per_category = {cat: _mean_block(rows) for cat, rows in sorted(by_cat.items())}
+    report.per_category = {cat: _mean_block(rows)
+                           for cat, rows in _by_category(report.per_image).items()}
     report.overall = _mean_block(report.per_image)
+    report.cc_images = _cc_images(report.per_image)
     return report

@@ -10,6 +10,12 @@ Every forward result is checked for NaN/Inf and fails fast naming the
 producing operation. A node holds its output only weakly, so a graph has
 no reference cycle: it lives exactly as long as its loss tensor and is
 freed by reference counting.
+
+An op records a node only when one of its inputs requires grad, so a
+forward pass over parameters with ``requires_grad = False`` records
+nothing. A model loaded from a checkpoint is an inference model and
+records no graph (``train.model_from_checkpoint`` freezes its
+parameters).
 """
 from __future__ import annotations
 
@@ -148,7 +154,7 @@ def record_op(op: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     per input, aligned with ``inputs``. Extension point for custom ops;
     the non-finite check applies here so no op can skip it.
     """
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)

@@ -113,10 +113,18 @@ def _checkpoint_from(model: CbceNet, cfg: TrainConfig, vocab: Vocabulary,
 
 
 def model_from_checkpoint(ckpt: Checkpoint):
-    """(model, vocab) rebuilt from a checkpoint's config snapshot."""
+    """(model, vocab) rebuilt from a checkpoint's config snapshot.
+
+    The model is an inference model: its parameters are frozen
+    (``requires_grad = False``), so a forward pass records no graph and
+    keeps no activations for a backward pass. Resuming training from a
+    checkpoint must not build its model through this function.
+    """
     vocab = Vocabulary(list(ckpt.config["vocab"]))
     model = CbceNet(ModelConfig.from_dict(ckpt.config["model"]), len(vocab), rng=0)
     model.load_state(ckpt.params)
+    for p in model.parameters().values():
+        p.requires_grad = False
     return model, vocab
 
 

@@ -1,4 +1,7 @@
 """Metric semantics against naive direct-summation oracles."""
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -222,6 +225,42 @@ def test_report_round_trip(tmp_path):
     assert loaded.to_dict() == report.to_dict()
     header = (tmp_path / "report.csv").read_text().splitlines()[0]
     assert header == "sample,affordance,iou,fbeta,ephi,cc,mae"
+
+
+def test_evaluate_dataset_survives_constant_maps(tmp_path):
+    rng = np.random.default_rng(8)
+    recs = _records(tmp_path)
+    masks, preds = {}, {}
+    for r in recs:
+        masks[r.id] = (rng.random((8, 8)) > 0.5).astype(float)
+        preds[r.id] = rng.random((8, 8))
+    masks["r0"] = np.zeros((8, 8))  # empty ground truth
+    # float32 sigmoid of logits >= 20 is exactly 1.0: a saturated map
+    preds["r1"] = 1.0 / (1.0 + np.exp(-np.full((8, 8), 20.0, dtype=np.float32)))
+    assert preds["r1"].min() == preds["r1"].max() == 1.0
+    report = evaluate_dataset(preds, recs, masks=masks)
+
+    assert [r.cc for r in report.per_image][:2] == [None, None]
+    cc2 = pearson_cc(preds["r2"], masks["r2"])
+    assert report.per_image[2].cc == cc2
+    assert report.overall["cc"] == cc2 and report.cc_images["overall"] == 1
+    assert report.per_category["cut"]["cc"] is None
+    assert report.per_category["roll"]["cc"] == cc2
+    assert report.cc_images["per_category"] == {"cut": 0, "roll": 1}
+    assert report.overall["mae"] == np.mean([r.mae for r in report.per_image])
+    assert score_pair(preds["r1"], masks["r1"])["cc"] is None
+
+    report.write_json(tmp_path / "report.json")
+    assert MetricReport.from_json(tmp_path / "report.json").to_dict() == report.to_dict()
+    # a report written before cc_images existed still loads; the counts are rebuilt
+    d = report.to_dict()
+    del d["cc_images"]
+    (tmp_path / "old.json").write_text(json.dumps(d))
+    assert MetricReport.from_json(tmp_path / "old.json").cc_images == report.cc_images
+    report.write_csv(tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["cc"] for row in rows] == ["", "", repr(cc2)]
 
 
 def test_shape_mismatch_rejected():

@@ -327,6 +327,28 @@ def test_nonfinite_forward_fails_fast_with_op_name():
     assert "mul" in str(ei.value)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_nonfinite_check_names_the_op(dtype, bad, requires_grad):
+    x = Tensor(np.array([[1.0, bad], [0.5, 2.0]], dtype=dtype), requires_grad=requires_grad)
+    with pytest.raises(NumericError, match="'probe'"):
+        record_op("probe", x.data * 1, (x,), lambda g: (g,))
+    # a full reduction hands record_op a 0-d numpy scalar
+    with pytest.raises(NumericError, match="'sum'"):
+        T.tsum(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_outputs_pass_the_check(dtype):
+    x = Tensor(np.array([[1.0, -3.0], [0.0, np.finfo(dtype).max]], dtype=dtype))
+    assert record_op("probe", x.data * 1, (x,), lambda g: (g,)).dtype == dtype
+    assert T.tsum(Tensor(np.ones(3, dtype=dtype))).item() == 3.0
+    empty = Tensor(np.empty((0, 3), dtype=dtype))
+    assert record_op("probe", empty.data, (empty,), lambda g: (g,)).shape == (0, 3)
+    assert T.tsum(empty).item() == 0.0
+
+
 def test_concat_then_slice_is_identity():
     rng = np.random.default_rng(13)
     for _ in range(10):

@@ -6,10 +6,18 @@ import os
 import numpy as np
 import pytest
 
+from cbce import checkpoint as checkpoint_mod
 from cbce.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cbce.cli import main
-from cbce.datakit import SynthConfig, synth_generate
+from cbce.datakit import (
+    SynthConfig,
+    load_manifest,
+    save_manifest,
+    synth_generate,
+    write_pgm,
+)
 from cbce.model import ModelConfig
+from cbce.tensor import NumericError
 from cbce.train import (
     TrainConfig,
     evaluate_checkpoint,
@@ -47,6 +55,12 @@ def tiny_data(tmp_path_factory):
     return str(root)
 
 
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory, tiny_data):
+    result = train(_tiny_config(max_steps=2), tiny_data, tmp_path_factory.mktemp("tinyrun"))
+    return result.checkpoint_path
+
+
 def test_training_leaves_no_reference_cycle(tiny_data, tmp_path):
     # each step's graph must be freed by reference counting alone
     cfg = _tiny_config(max_steps=3)
@@ -82,6 +96,105 @@ def test_checkpoint_binary_round_trip(tmp_path):
     with pytest.raises(ValueError, match="magic"):
         (tmp_path / "junk").write_bytes(b"NOTACKPT" + b"\x00" * 16)
         load_checkpoint(tmp_path / "junk")
+
+
+def test_truncated_checkpoint_rejected(tmp_path, tiny_ckpt):
+    with open(tiny_ckpt, "rb") as fh:
+        blob = fh.read()
+    for cut in (3, len(blob) - 30):  # into the tensor payload, into the header
+        path = tmp_path / f"cut{cut}.cbce"
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(ValueError, match="truncated") as ei:
+            load_checkpoint(path)
+        assert str(path) in str(ei.value)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.cbce"
+    first = Checkpoint(config={"vocab": []}, params={"w": np.zeros(64)})
+    save_checkpoint(path, first)
+    before = path.read_bytes()
+
+    real_open = open
+
+    class HalfWritten:
+        """File that accepts the first write and fails on the next."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.fh.tell():
+                raise OSError("no space left on device")
+            self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint_mod, "open",
+                        lambda *a, **kw: HalfWritten(real_open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, Checkpoint(config={"vocab": []}, params={"w": np.ones(64)}))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.cbce"]
+    np.testing.assert_array_equal(load_checkpoint(path).params["w"], np.zeros(64))
+
+
+def test_checkpoint_model_is_frozen_and_records_no_graph(tiny_data, tiny_ckpt):
+    model, vocab = model_from_checkpoint(load_checkpoint(tiny_ckpt))
+    assert not any(p.requires_grad for p in model.parameters().values())
+    rec = load_manifest(os.path.join(tiny_data, "test.jsonl"))[0]
+    phrases = vocab.encode_phrases(rec.phrases)
+    frozen = model.forward(rec.load_image(), phrases)
+    assert frozen.probs.node is None
+
+    # the same model with grads re-enabled records a graph and the same map
+    for p in model.parameters().values():
+        p.requires_grad = True
+    recorded = model.forward(rec.load_image(), phrases)
+    assert recorded.probs.node is not None
+    np.testing.assert_array_equal(frozen.prob_map, recorded.prob_map)
+
+
+def test_frozen_forward_still_fails_fast(tiny_data, tiny_ckpt):
+    ckpt = load_checkpoint(tiny_ckpt)
+    ckpt.params["encoder.stage1.w"][0] = np.inf
+    model, vocab = model_from_checkpoint(ckpt)
+    assert not model.encoder.stages[0][0].requires_grad  # the check runs unrecorded
+    rec = load_manifest(os.path.join(tiny_data, "test.jsonl"))[0]
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(NumericError, match="conv2d"):
+        model.forward(rec.load_image(), vocab.encode_phrases(rec.phrases))
+
+
+def test_cli_eval_survives_constant_maps(tmp_path, tiny_data, tiny_ckpt, capsys):
+    # one record with an empty ground-truth mask, one with its own mask
+    recs = load_manifest(os.path.join(tiny_data, "test.jsonl"))[:2]
+    empty = tmp_path / "empty.pgm"
+    write_pgm(str(empty), np.zeros(recs[0].load_mask().shape, dtype=np.uint8))
+    recs[0].mask_path = str(empty)
+    manifest = tmp_path / "edge.jsonl"
+    save_manifest(recs, manifest)
+
+    assert main(["eval", "--ckpt", tiny_ckpt, "--data", str(manifest),
+                 "--report", str(tmp_path / "rep")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["images"] == 2 and out["cc_images"] == 1
+    assert out["overall"]["cc"] is not None
+
+    # a head bias this large saturates the float32 sigmoid: every map is 1.0
+    ckpt = load_checkpoint(tiny_ckpt)
+    ckpt.params["head.mask.b"][...] = 1e3
+    saturated = tmp_path / "saturated.cbce"
+    save_checkpoint(saturated, ckpt)
+    assert main(["eval", "--ckpt", str(saturated), "--data", str(manifest)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cc_images"] == 0 and out["overall"]["cc"] is None
+    assert out["overall"]["mae"] > 0
 
 
 def test_model_checkpoint_forward_bit_identical(tmp_path, tiny_data):
