@@ -25,7 +25,6 @@ from .tensor import (
     reshape,
     sigmoid,
     softmax,
-    transpose2d,
 )
 
 LEVELS = (3, 4, 5)
@@ -67,7 +66,7 @@ class Vlm:
         flat = reshape(fused, (hw, c_v))
         phi = add(matmul(flat, self.w_phi), self.b_phi)  # (HW, C)
         theta = add(matmul(reshape(lang, (1, lang.size)), self.w_theta), self.b_theta)
-        scores = matmul(phi, transpose2d(theta))  # (HW, 1)
+        scores = matmul(phi, reshape(theta, (theta.size, 1)))  # (HW, 1)
         attn = softmax(reshape(scores, (hw,)), scale=float(np.sqrt(self.attn_width)))
         pooled = matmul(reshape(attn, (1, hw)), flat)  # (1, C_v)
         merged = concat([reshape(lang, (1, lang.size)), pooled], axis=1)

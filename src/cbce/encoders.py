@@ -1,6 +1,7 @@
 """Input encoders: a small strided CNN for multi-level visual features and
 a shared-parameter recurrent encoder that pools phrase vectors into one
-global language feature.
+global language feature. The phrase encoder records one fused node per
+phrase set (``tensor.lstm_phrases``), not one per gate and step.
 """
 from __future__ import annotations
 
@@ -11,19 +12,7 @@ import numpy as np
 
 from . import init
 from .convops import avg_pool2d, bilinear_upsample, conv2d
-from .tensor import (
-    Tensor,
-    add,
-    elementwise_max,
-    gather_rows,
-    matmul,
-    mul,
-    narrow,
-    relu,
-    reshape,
-    sigmoid,
-    tanh,
-)
+from .tensor import Tensor, add, lstm_phrases, matmul, relu, reshape
 
 PAD_ID = 0
 UNK_ID = 1
@@ -206,7 +195,8 @@ class VisualEncoder:
 
 class PhraseEncoder:
     """Embedding + single-layer LSTM shared across phrases; the final
-    hidden states are max-pooled elementwise into the global feature."""
+    hidden states are max-pooled elementwise into the global feature.
+    The whole phrase set is one fused node (``tensor.lstm_phrases``)."""
 
     GATES = ("i", "f", "g", "o")
 
@@ -222,36 +212,19 @@ class PhraseEncoder:
             # forget gate starts open so early gradients reach the embedding
             self.b[gate] = init.constant((c_l,), 1.0 if gate == "f" else 0.0, dtype)
 
-    def _gate(self, name, x, h):
-        pre = add(add(matmul(x, self.wx[name]), matmul(h, self.wh[name])), self.b[name])
-        return tanh(pre) if name == "g" else sigmoid(pre)
-
-    def encode_phrase(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("empty phrase (length 0)")
-        emb = gather_rows(self.embedding, ids)
-        h = Tensor(np.zeros((1, self.c_l), dtype=self.dtype))
-        c = Tensor(np.zeros((1, self.c_l), dtype=self.dtype))
-        for t in range(ids.size):
-            x = narrow(emb, 0, t, 1)
-            i = self._gate("i", x, h)
-            f = self._gate("f", x, h)
-            g = self._gate("g", x, h)
-            o = self._gate("o", x, h)
-            c = add(mul(f, c), mul(i, g))
-            h = mul(o, tanh(c))
-        return reshape(h, (self.c_l,))
-
     def forward(self, phrases: PhraseSet) -> Tensor:
         if phrases.vocab_size != self.embedding.shape[0]:
             raise ValueError(
                 f"phrase set vocab {phrases.vocab_size} != embedding rows {self.embedding.shape[0]}"
             )
-        feats = [
-            self.encode_phrase(phrases.ids[p, : phrases.lengths[p]]) for p in range(phrases.n)
-        ]
-        return elementwise_max(feats)
+        return lstm_phrases(
+            self.embedding,
+            [self.wx[g] for g in self.GATES],
+            [self.wh[g] for g in self.GATES],
+            [self.b[g] for g in self.GATES],
+            phrases.ids,
+            phrases.lengths,
+        )
 
     def parameters(self):
         yield "embedding", self.embedding

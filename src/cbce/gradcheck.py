@@ -118,14 +118,6 @@ def _suite_entries():
         a, b = _rt(rng, 3, 4), _rt(rng, 1, 4)
         return (lambda a, b: T.add(a, b)), [a, b]
 
-    def sub_entry(rng):
-        a, b = _rt(rng, 2, 3), _rt(rng, 2, 3)
-        return (lambda a, b: T.sub(a, b)), [a, b]
-
-    def neg_entry(rng):
-        a = _rt(rng, 5)
-        return (lambda a: T.neg(a)), [a]
-
     def mul_entry(rng):
         a, b = _rt(rng, 2, 3, 4), _rt(rng, 1, 1, 4)
         return (lambda a, b: T.mul(a, b)), [a, b]
@@ -135,17 +127,9 @@ def _suite_entries():
         a, b = _rt(rng, m, k), _rt(rng, k, n)
         return (lambda a, b: T.matmul(a, b)), [a, b]
 
-    def transpose_entry(rng):
-        a = _rt(rng, 3, 4)
-        return (lambda a: T.transpose2d(a)), [a]
-
     def reshape_entry(rng):
         a = _rt(rng, 2, 6)
         return (lambda a: T.reshape(a, (3, 4))), [a]
-
-    def narrow_entry(rng):
-        a = _rt(rng, 4, 5)
-        return (lambda a: T.narrow(a, 1, 1, 3)), [a]
 
     def concat_entry(rng):
         a, b, c = _rt(rng, 2, 2), _rt(rng, 2, 3), _rt(rng, 2, 1)
@@ -178,14 +162,18 @@ def _suite_entries():
         a = _rt(rng, 6)
         return (lambda a: T.l2_normalize(a)), [a]
 
-    def max_entry(rng):
-        a, b, c = _rt(rng, 3, 3), _rt(rng, 3, 3), _rt(rng, 3, 3)
-        return (lambda a, b, c: T.elementwise_max([a, b, c])), [a, b, c]
+    def lstm_entry(rng):
+        c = 3
+        embedding = _rt(rng, 5, c)
+        gates = [_rt(rng, c, c) for _ in range(8)] + [_rt(rng, c) for _ in range(4)]
+        # lengths 3/1/2 with padding; token 2 repeats within and across phrases
+        ids = np.array([[2, 4, 2], [1, 0, 0], [3, 2, 0]])
+        lengths = np.array([3, 1, 2])
 
-    def gather_entry(rng):
-        table = _rt(rng, 5, 3)
-        ids = np.array([0, 2, 2, 4])  # repeated row exercises scatter-add
-        return (lambda t: T.gather_rows(t, ids)), [table]
+        def fn(embedding, *g):
+            return T.lstm_phrases(embedding, g[0:4], g[4:8], g[8:12], ids, lengths)
+
+        return fn, [embedding, *gates]
 
     def bce_entry(rng):
         logits = _rt(rng, 3, 3, scale=2.0)
@@ -236,13 +224,9 @@ def _suite_entries():
 
     return {
         "add": add_entry,
-        "sub": sub_entry,
-        "neg": neg_entry,
         "mul": mul_entry,
         "matmul": matmul_entry,
-        "transpose2d": transpose_entry,
         "reshape": reshape_entry,
-        "narrow": narrow_entry,
         "concat": concat_entry,
         "sum": sum_entry,
         "relu": relu_entry,
@@ -250,8 +234,7 @@ def _suite_entries():
         "tanh": tanh_entry,
         "softmax": softmax_entry,
         "l2_normalize": l2n_entry,
-        "elementwise_max": max_entry,
-        "gather_rows": gather_entry,
+        "lstm_phrases": lstm_entry,
         "bce_with_logits_sum": bce_entry,
         "conv2d": conv_entry,
         "conv2d_dilated": conv_dilated_entry,

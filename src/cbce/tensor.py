@@ -4,7 +4,9 @@ The engine is deliberately small: row-major numpy buffers, one recorded
 node per differentiable operation, and a single backward pass per
 recording. Only the operations the segmentation network actually needs
 exist; there is no broadcasting magic beyond what numpy provides and
-what the backward rules undo.
+what the backward rules undo. The phrase encoder is one fused node,
+``lstm_phrases``: lookup, LSTM and max-pool over the whole phrase set,
+bit-identical to recording them op by op.
 
 Every forward result is checked for NaN/Inf and fails fast naming the
 producing operation. A node holds its output only weakly, so a graph has
@@ -123,19 +125,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -259,20 +252,6 @@ def add(a: Tensor, b) -> Tensor:
     return record_op("add", out, (a, b), bwd)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    out = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return record_op("sub", out, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    return record_op("neg", -a.data, (a,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     b = _as_tensor(b, a.dtype)
@@ -298,12 +277,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op("matmul", out, (a, b), bwd)
 
 
-def transpose2d(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose2d needs a matrix, got shape {a.shape}")
-    return record_op("transpose2d", a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
     out = a.data.reshape(shape)
@@ -312,24 +285,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(old),)
 
     return record_op("reshape", out, (a,), bwd)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; backward zero-pads."""
-    if not (0 <= start and start + length <= a.shape[axis]):
-        raise ShapeError(f"narrow [{start}:{start + length}) out of range for axis {axis} of {a.shape}")
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = a.data[idx].copy()
-    shape = a.data.shape
-
-    def bwd(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[idx] = g
-        return (full,)
-
-    return record_op("narrow", out, (a,), bwd)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -423,47 +378,94 @@ def l2_normalize(a: Tensor) -> Tensor:
     return record_op("l2_normalize", y, (a,), bwd)
 
 
-def elementwise_max(tensors) -> Tensor:
-    """Elementwise maximum over same-shape tensors.
+def lstm_phrases(embedding: Tensor, wx, wh, b, ids, lengths) -> Tensor:
+    """Pooled phrase vector: embedding lookup, one shared LSTM over every
+    phrase, elementwise max of the final hidden states, as one node.
 
-    Ties route the gradient to the earliest input attaining the max,
-    keeping backward deterministic.
+    ``wx``, ``wh`` and ``b`` hold the per-gate (C, C), (C, C) and (C,)
+    tensors in the gate order i, f, g, o; ``ids`` is the padded
+    (n, max_len) token matrix and ``lengths`` the true length of each row
+    (>= 1). The result is bit-identical to recording the lookup, each
+    gate's ``add(add(x @ Wx, h @ Wh), b)``, the activations, the cell
+    update and the max as separate ops. Every product keeps the (1, C) x
+    (C, C) shape of those ops: stacking phrases or steps into rows, or
+    gates into columns, changes how BLAS sums for some widths. Only the
+    weight-gradient outer products (inner dimension 1, so exact) are
+    stacked by gate. Backward folds every gradient in the order the
+    engine would. Ties in the max route the gradient to the earliest
+    phrase.
     """
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("elementwise_max of zero tensors")
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != ref:
-            raise ShapeError(f"elementwise_max shape mismatch: {[t.shape for t in tensors]}")
-    stacked = np.stack([t.data for t in tensors], axis=0)
+    c = embedding.shape[1]
+    wxs, whs, bs = [w.data for w in wx], [w.data for w in wh], [t.data for t in b]
+    tapes = []  # per phrase: (token ids, per-step saved values)
+    finals = []
+    for p in range(ids.shape[0]):
+        pid = ids[p, : lengths[p]]
+        xs = embedding.data[pid]
+        h = np.zeros((1, c), dtype=embedding.dtype)
+        cell = np.zeros((1, c), dtype=embedding.dtype)
+        steps = []
+        for t in range(pid.size):
+            x = xs[t : t + 1]
+            acts = []
+            for k in range(4):
+                pre = (x @ wxs[k] + h @ whs[k]) + bs[k]
+                # sigmoid would squash an overflowed pre-activation to a finite value
+                if not np.isfinite(pre).all():
+                    raise NumericError("non-finite values produced by op 'lstm_phrases'")
+                acts.append(np.tanh(pre) if k == 2 else _sigmoid(pre))
+            i, f, g, o = acts
+            cell_prev, cell = cell, f * cell + i * g
+            tc = np.tanh(cell)
+            steps.append((x, h, cell_prev, i, f, g, o, tc))
+            h = o * tc
+        tapes.append((pid, steps))
+        finals.append(h.reshape(c))
+    stacked = np.stack(finals, axis=0)
     out = stacked.max(axis=0)
     winner = stacked.argmax(axis=0)
+    gate_slices = [slice(k * c, (k + 1) * c) for k in range(4)]
 
-    def bwd(g):
-        return tuple(g * (winner == i) for i in range(len(tensors)))
+    def bwd(gout):
+        # walk phrases and steps newest first, folding each shared gradient
+        # left in that order; per-gate terms of dx and dh sum as o, g, f, i
+        dwx = dwh = db = demb = None
+        for p in reversed(range(len(tapes))):
+            pid, steps = tapes[p]
+            dh = (gout * (winner == p)).reshape(1, c)
+            dc_carry = None
+            dxs = np.empty((pid.size, c), dtype=gout.dtype)
+            for t in reversed(range(pid.size)):
+                x, h, cell_prev, i, f, g, o, tc = steps[t]
+                d_o = dh * tc
+                dcell = (dh * o) * (1.0 - tc * tc)
+                if dc_carry is not None:
+                    dcell = dc_carry + dcell
+                dc_carry = dcell * f
+                dpre = (
+                    (dcell * g) * i * (1.0 - i),
+                    (dcell * cell_prev) * f * (1.0 - f),
+                    (dcell * i) * (1.0 - g * g),
+                    d_o * o * (1.0 - o),
+                )
+                dpre_cat = np.concatenate(dpre, axis=1)
+                tx, th, tb = x.T @ dpre_cat, h.T @ dpre_cat, dpre_cat.sum(axis=0)
+                if dwx is None:
+                    dwx, dwh, db = tx, th, tb
+                else:
+                    dwx, dwh, db = dwx + tx, dwh + th, db + tb
+                dxs[t] = ((dpre[3] @ wxs[3].T + dpre[2] @ wxs[2].T)
+                          + dpre[1] @ wxs[1].T) + dpre[0] @ wxs[0].T
+                if t:  # the initial state is a constant
+                    dh = ((dpre[3] @ whs[3].T + dpre[2] @ whs[2].T)
+                          + dpre[1] @ whs[1].T) + dpre[0] @ whs[0].T
+            table = np.zeros(embedding.shape, dtype=gout.dtype)
+            np.add.at(table, pid, dxs)
+            demb = table if demb is None else demb + table
+        return (demb, *(dwx[:, s] for s in gate_slices), *(dwh[:, s] for s in gate_slices),
+                *(db[s] for s in gate_slices))
 
-    return record_op("elementwise_max", out, tuple(tensors), bwd)
-
-
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Row lookup table[ids]; backward scatter-adds into the table."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"gather_rows expects 1-D indices, got shape {ids.shape}")
-    if table.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-D table, got shape {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"gather_rows index out of range for table with {table.shape[0]} rows")
-    out = table.data[ids]
-    shape = table.data.shape
-
-    def bwd(g):
-        dt = np.zeros(shape, dtype=g.dtype)
-        np.add.at(dt, ids, g)
-        return (dt,)
-
-    return record_op("gather_rows", out, (table,), bwd)
+    return record_op("lstm_phrases", out, (embedding, *wx, *wh, *b), bwd)
 
 
 def bce_with_logits_sum(logits: Tensor, targets: np.ndarray) -> Tensor:

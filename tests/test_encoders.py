@@ -1,11 +1,20 @@
 """Visual pyramid and phrase encoder behavior."""
+import dataclasses
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbce import tensor as T
+from cbce.checkpoint import load_checkpoint
+from cbce.datakit import synth_generate
 from cbce.encoders import PhraseEncoder, PhraseSet, VisualEncoder, Vocabulary
 from cbce.gradcheck import grad_check
 from cbce.model import CbceNet, ModelConfig
 from cbce.tensor import Tensor, backward, tsum
+from cbce.train import load_config, train
 
 PHRASES = ["move by rotating", "spherical", "can roll", "outdoor activities"]
 
@@ -84,11 +93,10 @@ def test_empty_phrase_rejected():
     vocab = _vocab()
     with pytest.raises(ValueError, match="empty phrase"):
         vocab.encode_phrases(["can roll", "  ...  "])
-    enc = PhraseEncoder(len(vocab), c_l=8, rng=np.random.default_rng(11))
-    with pytest.raises(ValueError, match="empty phrase"):
-        enc.encode_phrase(np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="empty phrase"):
         PhraseSet(ids=np.zeros((1, 3), dtype=np.int64), lengths=np.array([0]), vocab_size=5)
+    with pytest.raises(ValueError, match="empty phrase"):
+        PhraseSet(ids=np.ones((2, 3), dtype=np.int64), lengths=np.array([2, 0]), vocab_size=5)
 
 
 def test_vocabulary_round_trip_and_unk(tmp_path):
@@ -125,3 +133,132 @@ def test_all_parameters_receive_gradient_end_to_end():
     dead = [k for k, t in net.parameters().items() if t.grad is None or not np.any(t.grad)]
     # the pad row of the embedding is legitimately unused; nothing else may be
     assert dead == [], f"dead branches: {dead}"
+
+
+# ---------------------------------------------------------------------------
+# the fused phrase LSTM against the per-op recording it replaced
+
+
+def _ref_gather_rows(table, ids):
+    def bwd(g):
+        dt = np.zeros(table.shape, dtype=g.dtype)
+        np.add.at(dt, ids, g)
+        return (dt,)
+
+    return T.record_op("gather_rows", table.data[ids], (table,), bwd)
+
+
+def _ref_narrow_row(a, t):
+    def bwd(g):
+        full = np.zeros(a.shape, dtype=g.dtype)
+        full[t : t + 1] = g
+        return (full,)
+
+    return T.record_op("narrow", a.data[t : t + 1].copy(), (a,), bwd)
+
+
+def _ref_max(feats):
+    stacked = np.stack([f.data for f in feats], axis=0)
+    winner = stacked.argmax(axis=0)
+    return T.record_op("elementwise_max", stacked.max(axis=0), tuple(feats),
+                       lambda g: tuple(g * (winner == i) for i in range(len(feats))))
+
+
+def reference_forward(enc, phrases):
+    """The phrase encoder as one recorded op per lookup, gate, step and max."""
+
+    def gate(name, x, h):
+        pre = T.add(T.add(T.matmul(x, enc.wx[name]), T.matmul(h, enc.wh[name])), enc.b[name])
+        return T.tanh(pre) if name == "g" else T.sigmoid(pre)
+
+    feats = []
+    for p in range(phrases.n):
+        ids = phrases.ids[p, : phrases.lengths[p]]
+        emb = _ref_gather_rows(enc.embedding, ids)
+        h = Tensor(np.zeros((1, enc.c_l), dtype=enc.dtype))
+        c = Tensor(np.zeros((1, enc.c_l), dtype=enc.dtype))
+        for t in range(ids.size):
+            x = _ref_narrow_row(emb, t)
+            i, f, g, o = (gate(name, x, h) for name in enc.GATES)
+            c = T.add(T.mul(f, c), T.mul(i, g))
+            h = T.mul(o, T.tanh(c))
+        feats.append(T.reshape(h, (enc.c_l,)))
+    return _ref_max(feats)
+
+
+def _phrase_set(rows, vocab_size):
+    ids = np.zeros((len(rows), max(len(r) for r in rows)), dtype=np.int64)
+    for p, r in enumerate(rows):
+        ids[p, : len(r)] = r
+    return PhraseSet(ids=ids, lengths=[len(r) for r in rows], vocab_size=vocab_size)
+
+
+def _assert_fused_equals_reference(rows, vocab_size, c_l, dtype, seed):
+    rng = np.random.default_rng(seed)
+    enc = PhraseEncoder(vocab_size, c_l=c_l, rng=rng, dtype=dtype)
+    params = [t for _, t in enc.parameters()]
+    for t in params:  # spread the values so gates leave their linear range
+        t.data[:] = rng.standard_normal(t.shape).astype(dtype)
+    phrases = _phrase_set(rows, vocab_size)
+    proj = Tensor(rng.standard_normal(c_l).astype(dtype))
+    results = []
+    for forward in (reference_forward, PhraseEncoder.forward):
+        out = forward(enc, phrases)
+        backward(tsum(T.mul(out, proj)))
+        results.append((out.data, [t.grad for t in params]))
+        for t in params:
+            t.grad = None
+    (ref_out, ref_grads), (out, grads) = results
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, ref_out)
+    assert len(grads) == 13
+    for (name, _), g, ref in zip(enc.parameters(), grads, ref_grads):
+        assert g.dtype == dtype, name
+        np.testing.assert_array_equal(g, ref, err_msg=name)
+
+
+PHRASE_SETS = {
+    "one_phrase": [[2, 3, 4]],
+    "single_token": [[3]],
+    "repeated_in_phrase": [[2, 4, 2, 2]],
+    "shared_across_phrases": [[2, 5], [5, 3], [4, 5]],
+    "unequal_lengths": [[2, 3, 4, 5, 6], [7], [3, 6, 2]],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(PHRASE_SETS))
+def test_fused_lstm_bit_identical_to_per_op_recording(case, dtype):
+    _assert_fused_equals_reference(PHRASE_SETS[case], 8, 16, dtype, seed=17)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=5), min_size=1, max_size=4),
+    c_l=st.sampled_from([1, 3, 8, 32]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_lstm_bit_identical_on_random_sets(rows, c_l, dtype, seed):
+    _assert_fused_equals_reference(rows, 6, c_l, dtype, seed)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fused_lstm_training_bit_identical(dtype, tmp_path, monkeypatch):
+    # three toy-scale steps: loss, parameters and Adam moments all bit-equal
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json"))
+    cfg = dataclasses.replace(
+        cfg, max_steps=3, model=dataclasses.replace(cfg.model, dtype=dtype),
+        synth=dataclasses.replace(cfg.synth, samples=8),
+    )
+    synth_generate(cfg.synth, tmp_path / "data")
+    fused = train(cfg, tmp_path / "data", tmp_path / "fused")
+    monkeypatch.setattr(PhraseEncoder, "forward", reference_forward)
+    ref = train(cfg, tmp_path / "data", tmp_path / "ref")
+    assert fused.losses == ref.losses and len(ref.losses) == 3
+    a, b = load_checkpoint(fused.checkpoint_path), load_checkpoint(ref.checkpoint_path)
+    for field in ("params", "adam_m", "adam_v"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=f"{field} {name}")

@@ -209,12 +209,6 @@ def test_bilinear_upsample_constant_and_identity():
     np.testing.assert_array_equal(same.data, x)
 
 
-def test_elementwise_max_identical_inputs():
-    x = np.random.default_rng(9).standard_normal((3, 4))
-    out = T.elementwise_max([Tensor(x), Tensor(x.copy()), Tensor(x.copy())])
-    np.testing.assert_array_equal(out.data, x)
-
-
 def test_global_avg_pool_shape_and_value():
     x = np.random.default_rng(10).standard_normal((4, 6, 3))
     out = convops.global_avg_pool(Tensor(x))
@@ -355,8 +349,8 @@ def test_concat_then_slice_is_identity():
         a = Tensor(rng.standard_normal((3, 2)))
         b = Tensor(rng.standard_normal((3, 4)))
         cat = T.concat([a, b], axis=1)
-        np.testing.assert_array_equal(T.narrow(cat, 1, 0, 2).data, a.data)
-        np.testing.assert_array_equal(T.narrow(cat, 1, 2, 4).data, b.data)
+        np.testing.assert_array_equal(cat.data[:, 0:2], a.data)
+        np.testing.assert_array_equal(cat.data[:, 2:6], b.data)
 
 
 def test_concat_axis_mismatch():

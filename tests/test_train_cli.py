@@ -16,7 +16,7 @@ from cbce.datakit import (
     synth_generate,
     write_pgm,
 )
-from cbce.model import ModelConfig
+from cbce.model import CbceNet, ModelConfig
 from cbce.tensor import NumericError
 from cbce.train import (
     TrainConfig,
@@ -169,6 +169,26 @@ def test_frozen_forward_still_fails_fast(tiny_data, tiny_ckpt):
     with np.errstate(invalid="ignore", over="ignore"), \
             pytest.raises(NumericError, match="conv2d"):
         model.forward(rec.load_image(), vocab.encode_phrases(rec.phrases))
+
+
+def _overflow_input_gate(params: dict) -> None:
+    # every x @ Wx_i sums c_l products of max magnitude: +inf, which sigmoid
+    # would squash to 1 if the pre-activation went unchecked
+    params["phrases.embedding"][:] = 1.0
+    params["phrases.wx_i"][:] = np.finfo(params["phrases.wx_i"].dtype).max
+
+
+def test_phrase_lstm_overflow_fails_fast(tiny_data, tiny_ckpt):
+    rec = load_manifest(os.path.join(tiny_data, "test.jsonl"))[0]
+    ckpt = load_checkpoint(tiny_ckpt)
+    _overflow_input_gate(ckpt.params)
+    frozen, vocab = model_from_checkpoint(ckpt)
+    training = CbceNet(ModelConfig(**TINY_MODEL), len(vocab), rng=0)
+    _overflow_input_gate({k: t.data for k, t in training.parameters().items()})
+    phrases = vocab.encode_phrases(rec.phrases)
+    for model in (frozen, training):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="'lstm_phrases'"):
+            model.forward(rec.load_image(), phrases)
 
 
 def test_cli_eval_survives_constant_maps(tmp_path, tiny_data, tiny_ckpt, capsys):
