@@ -5,7 +5,7 @@ Run from the repository root:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from cbce import Tensor, backward, grad_check
-from cbce.tensor import Graph, GraphConsumedError, matmul, record_op, softmax, tsum
+from cbce.tensor import GraphConsumedError, matmul, record_op, softmax, tsum
 
 print("== building a small graph ==")
 a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
@@ -22,8 +22,7 @@ print("d loss / d b =\n", b.grad)
 print("\n== one backward pass per recording ==")
 x = Tensor(np.ones(3), requires_grad=True)
 y = tsum(x * x)
-g = Graph.trace(y)
-backward(y, g)
+backward(y)
 try:
     backward(y)
 except GraphConsumedError as exc:

@@ -20,6 +20,7 @@ from .tensor import (
     add,
     concat,
     l2_normalize,
+    linear,
     matmul,
     mul,
     reshape,
@@ -63,14 +64,15 @@ class Vlm:
     def forward(self, lang: Tensor, fused: Tensor, return_attention: bool = False):
         h, w, c_v = fused.shape
         hw = h * w
+        # flat feeds phi and the pooling, so it stays one node (see linear)
         flat = reshape(fused, (hw, c_v))
-        phi = add(matmul(flat, self.w_phi), self.b_phi)  # (HW, C)
-        theta = add(matmul(reshape(lang, (1, lang.size)), self.w_theta), self.b_theta)
+        phi = linear(flat, self.w_phi, self.b_phi)  # (HW, C)
+        theta = linear(lang, self.w_theta, self.b_theta)  # (C,)
         scores = matmul(phi, reshape(theta, (theta.size, 1)))  # (HW, 1)
         attn = softmax(reshape(scores, (hw,)), scale=float(np.sqrt(self.attn_width)))
         pooled = matmul(reshape(attn, (1, hw)), flat)  # (1, C_v)
         merged = concat([reshape(lang, (1, lang.size)), pooled], axis=1)
-        out = add(matmul(merged, self.w_out), self.b_out)
+        out = linear(merged, self.w_out, self.b_out)
         out = l2_normalize(reshape(out, (out.size,)))
         return (out, attn) if return_attention else out
 
@@ -86,21 +88,13 @@ class Lvm:
     per-channel sigmoid broadcast over all spatial positions.
     """
 
-    def __init__(self, target: int, c_l: int, c_v: int, sources=None, rng=None,
-                 dtype=np.float64):
+    def __init__(self, target: int, c_l: int, c_v: int, rng=None, dtype=np.float64):
         rng = rng or np.random.default_rng(0)
-        sources = tuple(sources) if sources is not None else tuple(
-            l for l in LEVELS if l != target
-        )
-        if target in sources:
-            raise ValueError(f"level index collision: target {target} also a source")
-        if len(set(sources)) != len(sources):
-            raise ValueError(f"duplicate source levels {sources}")
         self.target = target
-        self.sources = sources
+        self.sources = tuple(l for l in LEVELS if l != target)
         self.gates = {
             src: (init.glorot(rng, (c_l, c_v), c_l, c_v, dtype), init.zeros((c_v,), dtype))
-            for src in sources
+            for src in self.sources
         }
 
     def forward(self, lang: Tensor, feats: dict) -> Tensor:
@@ -111,10 +105,10 @@ class Lvm:
             raise ValueError(f"missing fused maps for levels {sorted(missing)}")
         out = feats[self.target]
         c_v = out.shape[2]
+        # row feeds every gate, so it stays one node (see linear)
         row = reshape(lang, (1, lang.size))
         for src in self.sources:
-            w, b = self.gates[src]
-            gate = sigmoid(add(matmul(row, w), b))  # (1, C_v)
+            gate = sigmoid(linear(row, *self.gates[src]))  # (1, C_v)
             out = add(out, mul(reshape(gate, (1, 1, c_v)), feats[src]))
         return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,11 +110,11 @@ class ManifestRecord:
 _REQUIRED_FIELDS = ("id", "image", "mask", "affordance", "phrases")
 
 
-def load_manifest(path, known_affordances=None, check_sizes: bool = True) -> list:
+def load_manifest(path) -> list:
     """Parse a JSONL manifest, failing on the first bad line.
 
-    Paths resolve relative to the manifest file. ``known_affordances``
-    optionally restricts the category labels.
+    Paths resolve relative to the manifest file; each record's image and
+    mask must exist and agree in size.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"manifest not found: {path}")
@@ -137,8 +137,6 @@ def load_manifest(path, known_affordances=None, check_sizes: bool = True) -> lis
                 isinstance(p, str) and p.strip() for p in phrases
             ):
                 raise ValueError(f"{path}:{lineno}: phrases must be a non-empty list of text")
-            if known_affordances is not None and obj["affordance"] not in known_affordances:
-                raise ValueError(f"{path}:{lineno}: unknown affordance {obj['affordance']!r}")
             rec = ManifestRecord(
                 id=str(obj["id"]),
                 image_path=os.path.normpath(os.path.join(root, obj["image"])),
@@ -146,12 +144,11 @@ def load_manifest(path, known_affordances=None, check_sizes: bool = True) -> lis
                 affordance=obj["affordance"],
                 phrases=list(phrases),
             )
-            if check_sizes:
-                for p in (rec.image_path, rec.mask_path):
-                    if not os.path.exists(p):
-                        raise ValueError(f"{path}:{lineno}: missing file {p}")
-                if netpbm_size(rec.image_path) != netpbm_size(rec.mask_path):
-                    raise ValueError(f"{path}:{lineno}: image/mask size mismatch for {rec.id}")
+            for p in (rec.image_path, rec.mask_path):
+                if not os.path.exists(p):
+                    raise ValueError(f"{path}:{lineno}: missing file {p}")
+            if netpbm_size(rec.image_path) != netpbm_size(rec.mask_path):
+                raise ValueError(f"{path}:{lineno}: image/mask size mismatch for {rec.id}")
             records.append(rec)
     return records
 
@@ -169,10 +166,10 @@ def save_manifest(records, path) -> None:
             }) + "\n")
 
 
-def split_records(records, train_frac: float = 0.75) -> tuple:
+def split_records(records) -> tuple:
     """Deterministic 75/25 split by hashing record ids."""
     ordered = sorted(records, key=lambda r: hashlib.md5(r.id.encode("utf-8")).hexdigest())
-    n_train = round(len(ordered) * train_frac)
+    n_train = round(len(ordered) * 0.75)
     return ordered[:n_train], ordered[n_train:]
 
 
@@ -366,6 +363,9 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown synth config key(s): {', '.join(unknown)}")
         d = dict(d)
         for key in ("classes", "distractor_range", "target_scale", "distractor_scale",
                     "confuser_scale", "pair_scale"):

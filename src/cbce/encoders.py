@@ -12,7 +12,7 @@ import numpy as np
 
 from . import init
 from .convops import avg_pool2d, bilinear_upsample, conv2d
-from .tensor import Tensor, add, lstm_phrases, matmul, relu, reshape
+from .tensor import Tensor, linear, lstm_phrases, relu
 
 PAD_ID = 0
 UNK_ID = 1
@@ -20,6 +20,8 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+
+TAPS = (3, 4, 5)  # backbone stages projected into the feature pyramid
 
 
 class Vocabulary:
@@ -135,14 +137,12 @@ class VisualEncoder:
         c_out: int = 32,
         feat_h: int = 10,
         feat_w: int = 10,
-        taps=(3, 4, 5),
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ):
         rng = rng or np.random.default_rng(0)
-        if len(stage_channels) < max(taps):
-            raise ValueError("not enough stages for the requested taps")
-        self.taps = tuple(taps)
+        if len(stage_channels) < max(TAPS):
+            raise ValueError(f"the pyramid taps stages {TAPS}; need at least {max(TAPS)} stages")
         self.feat_h, self.feat_w = feat_h, feat_w
         self.dtype = dtype
         self.stages = []
@@ -154,7 +154,7 @@ class VisualEncoder:
             self.stages.append((w, b))
             prev = c
         self.proj = {}
-        for lvl in self.taps:
+        for lvl in TAPS:
             c_in = stage_channels[lvl - 1]
             self.proj[lvl] = (
                 init.glorot(rng, (c_in, c_out), c_in, c_out, dtype),
@@ -175,11 +175,8 @@ class VisualEncoder:
         levels = {}
         for idx, (w, b) in enumerate(self.stages, start=1):
             x = avg_pool2d(relu(conv2d(x, w, b)), window=2)
-            if idx in self.taps:
-                pw, pb = self.proj[idx]
-                h, wd, c = x.shape
-                flat = add(matmul(reshape(x, (h * wd, c)), pw), pb)
-                feat = reshape(flat, (h, wd, pw.shape[1]))
+            if idx in TAPS:
+                feat = linear(x, *self.proj[idx])
                 levels[idx] = bilinear_upsample(feat, self.feat_h, self.feat_w)
         return FeaturePyramid(levels=levels)
 
@@ -187,7 +184,7 @@ class VisualEncoder:
         for i, (w, b) in enumerate(self.stages, start=1):
             yield f"stage{i}.w", w
             yield f"stage{i}.b", b
-        for lvl in self.taps:
+        for lvl in TAPS:
             w, b = self.proj[lvl]
             yield f"proj{lvl}.w", w
             yield f"proj{lvl}.b", b

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import init
-from .tensor import ShapeError, Tensor, add, concat, matmul, mul, reshape, tanh
+from .tensor import ShapeError, Tensor, concat, linear, mul, reshape, tanh
 
 
 @lru_cache(maxsize=32)
@@ -64,10 +64,10 @@ class BilinearFusion:
 
     def forward(self, visual: Tensor, lang: Tensor) -> Tensor:
         h, w, c_i = visual.shape
-        v = add(matmul(reshape(visual, (h * w, c_i)), self.wv), self.bv)
-        l = add(matmul(reshape(lang, (1, lang.size)), self.wl), self.bl)
-        joint = matmul(mul(v, l), self.wo)  # (HW, rank) * (1, rank) broadcast
-        joint = add(joint, self.bo)
+        # v stays (HW, rank), so mul sums the gradient of l over one axis
+        v = linear(reshape(visual, (h * w, c_i)), self.wv, self.bv)
+        l = linear(lang, self.wl, self.bl)
+        joint = linear(mul(v, l), self.wo, self.bo)  # (HW, rank) * (rank,) broadcast
         if self.use_tanh:
             joint = tanh(joint)
         return reshape(joint, (h, w, self.wo.shape[1]))

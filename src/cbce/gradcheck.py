@@ -127,6 +127,10 @@ def _suite_entries():
         a, b = _rt(rng, m, k), _rt(rng, k, n)
         return (lambda a, b: T.matmul(a, b)), [a, b]
 
+    def linear_entry(rng):
+        x, w, b = _rt(rng, 2, 3, 4), _rt(rng, 4, 5), _rt(rng, 5)
+        return (lambda x, w, b: T.linear(x, w, b)), [x, w, b]
+
     def reshape_entry(rng):
         a = _rt(rng, 2, 6)
         return (lambda a: T.reshape(a, (3, 4))), [a]
@@ -226,6 +230,7 @@ def _suite_entries():
         "add": add_entry,
         "mul": mul_entry,
         "matmul": matmul_entry,
+        "linear": linear_entry,
         "reshape": reshape_entry,
         "concat": concat_entry,
         "sum": sum_entry,

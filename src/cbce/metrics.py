@@ -224,12 +224,7 @@ def evaluate_dataset(predictions, records, threshold: float = 0.5, beta_sq: floa
     for rec in records:
         if rec.id not in predictions:
             raise ValueError(f"missing prediction for record {rec.id!r}")
-        if masks is not None:
-            gt = masks[rec.id]
-        else:
-            from .datakit import read_pgm
-
-            gt = (read_pgm(rec.mask_path) > 127).astype(np.float64)
+        gt = masks[rec.id] if masks is not None else rec.load_mask()
         scores = score_pair(predictions[rec.id], gt, threshold, beta_sq)
         report.per_image.append(MetricRow(sample=rec.id, affordance=rec.affordance, **scores))
     report.per_category = {cat: _mean_block(rows)

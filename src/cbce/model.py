@@ -6,7 +6,7 @@ bilinear fusion with the coordinate grid -> cyclic bilateral interaction
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model config key(s): {', '.join(unknown)}")
         d = dict(d)
         if "backbone_channels" in d:
             d["backbone_channels"] = tuple(d["backbone_channels"])

@@ -9,27 +9,9 @@ import numpy as np
 
 from . import init
 from .convops import bilinear_upsample, depthwise_separable_conv, global_avg_pool
-from .tensor import (
-    ShapeError,
-    Tensor,
-    add,
-    bce_with_logits_sum,
-    concat,
-    matmul,
-    reshape,
-    sigmoid,
-)
+from .tensor import ShapeError, Tensor, bce_with_logits_sum, concat, linear, reshape, sigmoid
 
 ASPP_DILATIONS = (1, 3, 7, 11)
-
-
-def conv1x1(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Position-wise linear map: (H, W, Cin) x (Cin, Cout)."""
-    h, wd, c = x.shape
-    out = matmul(reshape(x, (h * wd, c)), w)
-    if b is not None:
-        out = add(out, b)
-    return reshape(out, (h, wd, w.shape[1]))
 
 
 def concat_levels(f3: Tensor, f4: Tensor, f5: Tensor) -> Tensor:
@@ -63,12 +45,12 @@ class Aspp:
 
     def forward(self, x: Tensor) -> Tensor:
         h, w, _ = x.shape
-        pooled = conv1x1(global_avg_pool(x), self.gap_w, self.gap_b)
+        pooled = linear(global_avg_pool(x), self.gap_w, self.gap_b)
         outs = [bilinear_upsample(pooled, h, w)]
         for d in ASPP_DILATIONS:
             dw, pw, pb = self.branches[d]
             outs.append(depthwise_separable_conv(x, dw, pw, dilation=d, bias=pb))
-        return conv1x1(concat(outs, axis=2), self.fuse_w, self.fuse_b)
+        return linear(concat(outs, axis=2), self.fuse_w, self.fuse_b)
 
     def parameters(self):
         yield "gap.w", self.gap_w
@@ -105,7 +87,7 @@ class SegHead:
 
     def predict_mask(self, aspp_out: Tensor, image_size) -> MaskPrediction:
         h_img, w_img = image_size
-        logit_map = conv1x1(aspp_out, self.mask_w, self.mask_b)
+        logit_map = linear(aspp_out, self.mask_w, self.mask_b)
         logits = reshape(bilinear_upsample(logit_map, h_img, w_img), (h_img, w_img))
         return MaskPrediction(logits=logits, probs=sigmoid(logits))
 

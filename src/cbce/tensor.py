@@ -4,9 +4,15 @@ The engine is deliberately small: row-major numpy buffers, one recorded
 node per differentiable operation, and a single backward pass per
 recording. Only the operations the segmentation network actually needs
 exist; there is no broadcasting magic beyond what numpy provides and
-what the backward rules undo. The phrase encoder is one fused node,
-``lstm_phrases``: lookup, LSTM and max-pool over the whole phrase set,
-bit-identical to recording them op by op.
+what the backward rules undo. Two fused ops stand in for chains of
+small ones and are bit-identical to recording those ops one by one:
+``linear`` is every dense projection (reshape, matmul, bias add,
+reshape back) as one node, and ``lstm_phrases`` is the phrase encoder
+(lookup, LSTM and max-pool over the whole phrase set).
+
+``backward(loss)`` collects the nodes reachable from the loss and runs
+their rules newest first; each node records that it ran, so a second
+pass over the same recording raises ``GraphConsumedError``.
 
 Every forward result is checked for NaN/Inf and fails fast naming the
 producing operation. A node holds its output only weakly, so a graph has
@@ -23,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,53 +161,32 @@ def record_op(op: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     return out
 
 
-@dataclass
-class Graph:
-    """Topologically ordered recording of the ops reachable from a loss."""
-
-    nodes: list = field(default_factory=list)
-    consumed: bool = False
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Graph":
-        """Collect every node reachable from ``root``, oldest first.
-
-        Creation order is a topological order because an op's inputs
-        always exist before its output.
-        """
-        nodes = []
-        seen = set()
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            node = t.node
-            if node is None or id(node) in seen:
-                continue
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node.inputs)
-        nodes.sort(key=lambda n: n.seq)
-        return cls(nodes=nodes)
-
-
-def backward(loss: Tensor, graph: Graph | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from loss.
 
-    Gradients of tensors used multiple times are summed. A recording can
-    be walked once; rerunning without re-recording the forward pass
-    raises GraphConsumedError.
+    The recorded nodes run newest first: an op's inputs always exist
+    before its output, so creation order is a topological order.
+    Gradients of tensors used multiple times are summed in that order. A
+    recording can be walked once; rerunning without re-recording the
+    forward pass raises GraphConsumedError.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if graph is None:
-        graph = Graph.trace(loss)
-    if graph.consumed or any(n.consumed for n in graph.nodes):
+    found = {}
+    stack = [loss]
+    while stack:
+        node = stack.pop().node
+        if node is None or id(node) in found:
+            continue
+        found[id(node)] = node
+        stack.extend(node.inputs)
+    nodes = sorted(found.values(), key=lambda n: n.seq, reverse=True)
+    if any(n.consumed for n in nodes):
         raise GraphConsumedError("backward already ran over this recording; re-run the forward pass")
-    graph.consumed = True
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(graph.nodes):
+    for node in nodes:
         node.consumed = True
         gout = grads.get(node.output_id)
         if gout is None:
@@ -275,6 +259,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bd.T, ad.T @ g
 
     return record_op("matmul", out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map over the last axis, ``x @ w + b``, for any leading shape.
+
+    One node with the arithmetic of the reshape -> matmul -> add ->
+    reshape chain it replaces, so values and gradients are bit-identical
+    to recording those ops. A reshape that feeds several consumers must
+    stay a node of its own: folding it here would split its one summed
+    gradient into several terms and reorder the sums upstream.
+    """
+    k, n = w.shape
+    if x.ndim < 1 or x.shape[-1] != k or b.shape != (n,):
+        raise ShapeError(
+            f"linear needs (..., K) x (K, N) + (N,), got {x.shape} x {w.shape} + {b.shape}"
+        )
+    shape, x2, wd = x.shape, x.data.reshape(-1, k), w.data
+    out = (x2 @ wd + b.data).reshape(*shape[:-1], n)
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        return (g2 @ wd.T).reshape(shape), x2.T @ g2, g2.sum(axis=0)
+
+    return record_op("linear", out, (x, w, b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

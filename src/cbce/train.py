@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +55,13 @@ def load_config(path, dtype_override: str | None = None) -> TrainConfig:
     synth_section.setdefault("seed", seed)
     synth_section.setdefault("n_phrases", model.n_phrases)
     synth = SynthConfig.from_dict(synth_section)
-    cfg = TrainConfig(seed=seed, model=model, synth=synth, **raw.get("train", {}))
+    train_section = raw.get("train", {})
+    # seed, model and synth are sections of their own, not train keys
+    allowed = {f.name for f in fields(TrainConfig)} - {"seed", "model", "synth"}
+    unknown = sorted(set(train_section) - allowed)
+    if unknown:
+        raise ValueError(f"unknown train config key(s): {', '.join(unknown)}")
+    cfg = TrainConfig(seed=seed, model=model, synth=synth, **train_section)
     override = dtype_override or os.environ.get("CBCE_DTYPE")
     if override:
         if override not in ("float32", "float64"):

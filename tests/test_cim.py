@@ -128,11 +128,6 @@ def test_lvm_matches_loop_oracle_and_gradients():
     assert rep.passed, rep
 
 
-def test_lvm_level_collision_rejected():
-    with pytest.raises(ValueError, match="collision"):
-        Lvm(3, c_l=4, c_v=4, sources=(3, 5), rng=_rng(12))
-
-
 def _micro_cim(seed=13, rounds=2):
     cim = Cim(c_l=3, c_v=4, rounds=rounds, rng=_rng(seed))
     rng = _rng(seed + 1)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cbce.datakit import ManifestRecord
+from cbce.datakit import ManifestRecord, write_pgm
 from cbce.metrics import (
     MetricReport,
     e_measure,
@@ -184,6 +184,19 @@ def test_evaluate_dataset_perfect_prediction(tmp_path):
     row = report.per_image[0]
     assert row.iou == 1.0 and row.fbeta == 1.0 and row.ephi == 1.0
     assert abs(row.cc - 1.0) < 1e-12 and row.mae == 0.0
+
+
+def test_evaluate_dataset_reads_omitted_masks(tmp_path):
+    rng = np.random.default_rng(7)
+    recs = _records(tmp_path, 2, ("roll", "cut"))
+    masks, preds = {}, {}
+    for r in recs:
+        gt = (rng.random((8, 8)) > 0.5).astype(float)
+        write_pgm(r.mask_path, (gt * 255).astype(np.uint8))
+        masks[r.id], preds[r.id] = gt, rng.random((8, 8))
+    read = evaluate_dataset(preds, recs)
+    given = evaluate_dataset(preds, recs, masks=masks)
+    assert read.to_dict() == given.to_dict()
 
 
 def test_evaluate_dataset_per_category_means(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from cbce import convops
 from cbce.gradcheck import grad_check
-from cbce.seghead import Aspp, SegHead, bce_loss, concat_levels, conv1x1
+from cbce.seghead import Aspp, SegHead, bce_loss, concat_levels
 from cbce.tensor import ShapeError, Tensor, backward
 
 
@@ -29,15 +29,15 @@ def test_aspp_matches_composition_of_primitives():
     got = aspp.forward(x).data
 
     # same primitives, composed by hand with the module's tensors
-    from cbce.tensor import concat
+    from cbce.tensor import concat, linear
 
     h, w, _ = x.shape
-    pooled = conv1x1(convops.global_avg_pool(x), aspp.gap_w, aspp.gap_b)
+    pooled = linear(convops.global_avg_pool(x), aspp.gap_w, aspp.gap_b)
     branches = [convops.bilinear_upsample(pooled, h, w)]
     for d in (1, 3, 7, 11):
         dw, pw, pb = aspp.branches[d]
         branches.append(convops.depthwise_separable_conv(x, dw, pw, dilation=d, bias=pb))
-    expect = conv1x1(concat(branches, axis=2), aspp.fuse_w, aspp.fuse_b).data
+    expect = linear(concat(branches, axis=2), aspp.fuse_w, aspp.fuse_b).data
     np.testing.assert_array_equal(got, expect)
 
 

@@ -1,15 +1,20 @@
 """Engine-level tests: forward semantics, backward rules, error policy."""
+import dataclasses
 import gc
+import os
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbce import convops
+from cbce import cim, convops, encoders, fusion, seghead
 from cbce import tensor as T
+from cbce.checkpoint import load_checkpoint
+from cbce.datakit import synth_generate
 from cbce.gradcheck import micro_pipeline_entry, standard_op_suite
 from cbce.tensor import (
-    Graph,
     GraphConsumedError,
     NumericError,
     ShapeError,
@@ -17,6 +22,7 @@ from cbce.tensor import (
     backward,
     record_op,
 )
+from cbce.train import load_config, train
 
 
 def test_matmul_identity():
@@ -244,11 +250,14 @@ def test_backward_rejects_nonscalar():
 
 def test_second_backward_on_consumed_graph_errors():
     x = Tensor(np.ones(3), requires_grad=True)
-    loss = T.tsum(T.mul(x, x))
-    g = Graph.trace(loss)
-    backward(loss, g)
+    sq = T.mul(x, x)
+    loss = T.tsum(sq)
+    backward(loss)
     with pytest.raises(GraphConsumedError):
         backward(loss)
+    # a loss recorded on top of part of a consumed recording is refused too
+    with pytest.raises(GraphConsumedError):
+        backward(T.tsum(T.mul(sq, 2.0)))
     # re-recording the forward pass works again
     loss2 = T.tsum(T.mul(x, x))
     x.grad = None
@@ -256,19 +265,34 @@ def test_second_backward_on_consumed_graph_errors():
     np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
-def test_graph_trace_is_topological():
+def test_backward_runs_rules_newest_first_after_their_consumers():
     x = Tensor(np.ones(2), requires_grad=True)
-    y = T.mul(x, 2.0)
+    y = T.mul(x, 2.0)  # y feeds z and w
     z = T.add(y, x)
-    loss = T.tsum(z)
-    g = Graph.trace(loss)
-    seqs = [n.seq for n in g.nodes]
-    assert seqs == sorted(seqs)
-    pos = {id(n.output): i for i, n in enumerate(g.nodes)}
-    for i, n in enumerate(g.nodes):
+    w = T.mul(z, y)
+    loss = T.tsum(w)
+    nodes = [t.node for t in (y, z, w, loss)]
+    ran = []
+
+    def logged(node):
+        rule = node.backward_fn
+
+        def run(g):
+            ran.append(node)
+            return rule(g)
+
+        return run
+
+    for n in nodes:
+        n.backward_fn = logged(n)
+    backward(loss)
+    assert ran == sorted(nodes, key=lambda n: n.seq, reverse=True)
+    pos = {id(n): i for i, n in enumerate(ran)}
+    for n in ran:
         for inp in n.inputs:
             if inp.node is not None:
-                assert pos[id(inp)] < i
+                assert pos[id(inp.node)] > pos[id(n)]
+    np.testing.assert_array_equal(x.grad, [12.0, 12.0])  # d/dx sum(6 x^2)
 
 
 def cyclic_garbage(fn) -> int:
@@ -386,3 +410,79 @@ def test_record_op_custom_extension():
     y = record_op("double", x.data * 2, (x,), lambda g: (2 * g,))
     backward(T.tsum(y))
     np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# linear against the per-op recording it replaced
+
+
+def reference_linear(x, w, b):
+    """The reshape -> matmul -> add -> reshape chain that ``linear`` fuses."""
+    flat = T.reshape(x, (-1, w.shape[0]))
+    return T.reshape(T.add(T.matmul(flat, w), b), (*x.shape[:-1], w.shape[1]))
+
+
+# (x dtype, weight dtype); float64 x with float32 weights is what the
+# float32 config runs wherever a bilinear resize has promoted a map
+LINEAR_DTYPES = [(np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                   st.tuples(st.integers(1, 5), st.integers(1, 5))),
+    k=st.integers(1, 33),
+    n=st.integers(1, 33),
+    dtypes=st.sampled_from(LINEAR_DTYPES),
+    seed=st.integers(0, 2**16),
+)
+def test_linear_bit_identical_to_per_op_recording(lead, k, n, dtypes, seed):
+    x_dtype, w_dtype = dtypes
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((*lead, k)).astype(x_dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((k, n)).astype(w_dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(n).astype(w_dtype), requires_grad=True)
+    proj = Tensor(rng.standard_normal((*lead, n)).astype(x_dtype))
+    results = []
+    for op in (reference_linear, T.linear):
+        out = op(x, w, b)
+        backward(T.tsum(T.mul(out, proj)))
+        results.append((out.data, [t.grad for t in (x, w, b)]))
+        for t in (x, w, b):
+            t.grad = None
+    (ref_out, ref_grads), (out, grads) = results
+    assert out.shape == (*lead, n) and out.dtype == ref_out.dtype
+    np.testing.assert_array_equal(out, ref_out)
+    for name, g, ref in zip("xwb", grads, ref_grads):
+        assert g.dtype == ref.dtype, name
+        np.testing.assert_array_equal(g, ref, err_msg=name)
+
+
+def test_linear_shape_mismatch_rejected():
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        T.linear(x, Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+    with pytest.raises(ShapeError):
+        T.linear(x, Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_linear_training_bit_identical(dtype, tmp_path, monkeypatch):
+    # three toy-scale steps: loss, parameters and Adam moments all bit-equal
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json"))
+    cfg = dataclasses.replace(
+        cfg, max_steps=3, model=dataclasses.replace(cfg.model, dtype=dtype),
+        synth=dataclasses.replace(cfg.synth, samples=8),
+    )
+    synth_generate(cfg.synth, tmp_path / "data")
+    fused = train(cfg, tmp_path / "data", tmp_path / "fused")
+    for module in (encoders, fusion, cim, seghead):
+        monkeypatch.setattr(module, "linear", reference_linear)
+    ref = train(cfg, tmp_path / "data", tmp_path / "ref")
+    assert fused.losses == ref.losses and len(ref.losses) == 3
+    a, b = load_checkpoint(fused.checkpoint_path), load_checkpoint(ref.checkpoint_path)
+    for field in ("params", "adam_m", "adam_v"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=f"{field} {name}")

@@ -342,6 +342,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("section,key", [("model", "c_vv"), ("train", "epoch"),
+                                         ("train", "seed"), ("synth", "sizes")])
+def test_cli_unknown_config_key_is_a_validation_error(tmp_path, capsys, section, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {key: 3}}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and section in err and key in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_cli_gradcheck_smoke(capsys):
     assert main(["gradcheck", "--op", "matmul", "--op", "softmax", "--seeds", "3"]) == 0
     out = capsys.readouterr().out
