@@ -13,10 +13,21 @@ import numpy as np
 from .tensor import ShapeError, Tensor, record_op
 
 
-def _pad_edge(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
+def _pad_edge(x: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """Replicate the border of an (H, W, C) map by (before, after) rows and
+    columns; the same values as numpy's "edge" padding, built by slice copies."""
+    (top, bottom), (left, right) = rows, cols
+    if not (top or bottom or left or right):
         return x
-    return np.pad(x, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
+    h, w = x.shape[:2]
+    out = np.empty((top + h + bottom, left + w + right) + x.shape[2:], dtype=x.dtype)
+    mid = out[top : top + h]
+    mid[:, left : left + w] = x
+    mid[:, :left] = x[:, :1]
+    mid[:, left + w :] = x[:, -1:]
+    out[:top] = mid[0]
+    out[top + h :] = mid[-1]
+    return out
 
 
 def _fold_pad_gradient(dxp: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
@@ -56,7 +67,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     h, wid, cin = x.shape
     cout = w.shape[3]
     pad = dilation * (k - 1) // 2
-    xp = _pad_edge(x.data, pad)
+    xp = _pad_edge(x.data, (pad, pad), (pad, pad))
     wd = w.data
 
     acc = np.zeros((h * wid, cout), dtype=x.dtype)
@@ -104,7 +115,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernel {w.shape}")
     h, wid, cin = x.shape
     pad = dilation * (k - 1) // 2
-    xp = _pad_edge(x.data, pad)
+    xp = _pad_edge(x.data, (pad, pad), (pad, pad))
     wd = w.data
 
     out = np.zeros((h, wid, cin), dtype=x.dtype)
@@ -174,7 +185,7 @@ def avg_pool2d(x: Tensor, window: int = 2) -> Tensor:
     h, w, c = x.shape
     ph = (-h) % window
     pw = (-w) % window
-    xp = np.pad(x.data, ((0, ph), (0, pw), (0, 0)), mode="edge") if ph or pw else x.data
+    xp = _pad_edge(x.data, (0, ph), (0, pw))
     ho, wo = xp.shape[0] // window, xp.shape[1] // window
     out = xp.reshape(ho, window, wo, window, c).mean(axis=(1, 3))
 

@@ -296,10 +296,28 @@ def rasterize_shape(kind: str, canvas: int, cy: float, cx: float, size: float,
 
     Pure function of its arguments; pixel centers at integer coordinates.
     ``orient`` flips bars between horizontal/vertical and picks the wedge
-    corner.
+    corner. Every shape lies within ``|dy|, |dx| <= size / 2`` of its
+    center, so the per-pixel tests run only on that window (padded by one
+    pixel against rounding, clipped to the canvas); the pixels outside it
+    are False.
     """
-    rr, cc = np.mgrid[0:canvas, 0:canvas].astype(np.float64)
-    dy, dx = rr - cy, cc - cx
+    r0, r1 = _window(cy, abs(size) / 2.0, canvas)
+    c0, c1 = _window(cx, abs(size) / 2.0, canvas)
+    rr, cc = np.mgrid[r0:r1, c0:c1].astype(np.float64)
+    mask = np.zeros((canvas, canvas), dtype=bool)
+    mask[r0:r1, c0:c1] = _shape_test(kind, rr - cy, cc - cx, size, orient)
+    return mask
+
+
+def _window(center: float, reach: float, canvas: int) -> tuple:
+    """[lo, hi) of the pixels within reach + 1 of center, clipped to the canvas."""
+    lo, hi = np.clip([np.floor(center - reach) - 1, np.ceil(center + reach) + 2], 0, canvas)
+    return int(lo), int(hi)
+
+
+def _shape_test(kind: str, dy: np.ndarray, dx: np.ndarray, size: float,
+                orient: int) -> np.ndarray:
+    """Per-pixel membership of one shape, from pixel offsets to its center."""
     half = size / 2.0
     if kind == "disc":
         return dy**2 + dx**2 <= half**2

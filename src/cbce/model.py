@@ -123,7 +123,11 @@ class CbceNet:
         return params
 
     def load_state(self, arrays: dict) -> None:
-        """Overwrite parameter buffers from name -> array, shape-checked."""
+        """Copy name -> array into the parameter buffers, shape-checked.
+
+        The buffers are written in place, never rebound, so views of them
+        (the optimizer's flat buffer) stay valid.
+        """
         params = self.parameters()
         missing = set(params) - set(arrays)
         extra = set(arrays) - set(params)
@@ -135,4 +139,4 @@ class CbceNet:
                 raise ValueError(
                     f"checkpoint/config dimension mismatch for {name}: {arr.shape} vs {t.shape}"
                 )
-            t.data = arr.copy()
+            np.copyto(t.data, arr)

@@ -148,6 +148,9 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
 
     model = CbceNet(cfg.model, len(vocab), rng=np.random.default_rng([cfg.seed, 0]))
     params = model.trainable_parameters(cfg.freeze_backbone)
+    for name, p in model.parameters().items():
+        if name not in params:
+            p.requires_grad = False  # frozen: records no nodes and gets no gradient
     state = AdamState.for_params(params)
     max_steps = cfg.epochs * len(samples)
     if cfg.max_steps is not None:
@@ -182,11 +185,11 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
                 except NumericError as exc:
                     emit({"step": step, "event": "nan_abort", "error": str(exc)})
                     raise NumericError(f"non-finite loss at step {step}: {exc}") from exc
+                value = float(loss.item())
+                del loss  # frees this step's graph before Adam allocates its scratch
                 adam_step(params, state, lr, cfg.weight_decay)
                 for p in params.values():
                     p.grad = None
-                value = float(loss.item())
-                del loss  # frees this step's graph before the next forward pass
                 losses.append(value)
                 emit({"step": step, "lr": lr, "loss": value})
                 step += 1

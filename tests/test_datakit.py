@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbce import datakit
 from cbce.datakit import (
@@ -239,6 +241,37 @@ def test_rasterize_shape_counts_by_brute_force():
                 if (r - cy) ** 2 + (c - cx) ** 2 <= (size / 2) ** 2:
                     slow += 1
         assert fast == slow
+
+
+def _full_canvas_shape(kind, canvas, cy, cx, size, orient):
+    rr, cc = np.mgrid[0:canvas, 0:canvas].astype(np.float64)
+    return datakit._shape_test(kind, rr - cy, cc - cx, size, orient)
+
+
+def test_rasterize_shape_window_matches_full_canvas():
+    canvas = 32
+    # centres inside, on and beyond every border and corner, so the window
+    # is clipped on each side; fractional centres and sizes included
+    coords = (-9.0, -1.5, 0.0, 2.25, 15.5, 29.75, 31.0, 33.5, 40.0)
+    for kind in sorted(set(datakit.SHAPE_FOR_CLASS.values())):
+        for orient in range(4):
+            for size in (1.0, 6.5, 13.0, 21.3):
+                for cy in coords:
+                    for cx in coords:
+                        got = rasterize_shape(kind, canvas, cy, cx, size, orient)
+                        want = _full_canvas_shape(kind, canvas, cy, cx, size, orient)
+                        assert got.shape == (canvas, canvas) and got.dtype == bool
+                        np.testing.assert_array_equal(got, want, err_msg=str(
+                            (kind, orient, size, cy, cx)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(set(datakit.SHAPE_FOR_CLASS.values()))),
+       orient=st.integers(0, 3), size=st.floats(0.5, 40.0),
+       cy=st.floats(-20.0, 50.0), cx=st.floats(-20.0, 50.0))
+def test_rasterize_shape_window_property(kind, orient, size, cy, cx):
+    np.testing.assert_array_equal(rasterize_shape(kind, 30, cy, cx, size, orient),
+                                  _full_canvas_shape(kind, 30, cy, cx, size, orient))
 
 
 def test_class_balance_within_20pct():

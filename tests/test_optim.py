@@ -1,9 +1,34 @@
 """Adam and the polynomial schedule."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cbce.train as train_mod
+from cbce.checkpoint import load_checkpoint
+from cbce.datakit import SynthConfig, synth_generate
+from cbce.model import ModelConfig
 from cbce.optim import AdamState, adam_step, poly_lr
 from cbce.tensor import Tensor
+from cbce.train import TrainConfig, train
+
+
+def per_tensor_adam_step(params, state, lr, weight_decay=0.0,
+                         beta1=0.9, beta2=0.999, eps=1e-8):
+    """The update as a loop over tensors, the reference the flat step must equal."""
+    state.t += 1
+    t = state.t
+    for name, p in params.items():
+        g = p.grad
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
 
 
 def _param(values):
@@ -85,3 +110,106 @@ def test_poly_lr_range_errors():
         poly_lr(101, 100, 0.1)
     with pytest.raises(ValueError):
         poly_lr(-1, 100, 0.1)
+
+
+def _params_of(shapes, dtype, seed):
+    rng = np.random.default_rng(seed)
+    return {f"p{i}": Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+            for i, shape in enumerate(shapes)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes=st.lists(st.lists(st.integers(1, 5), min_size=0, max_size=3).map(tuple),
+                    min_size=1, max_size=6),
+    dtype=st.sampled_from(["float32", "float64"]),
+    lr=st.floats(1e-5, 0.5),
+    weight_decay=st.sampled_from([0.0, 5e-4, 0.1]),
+    steps=st.integers(20, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_flat_adam_equals_per_tensor_loop(shapes, dtype, lr, weight_decay, steps, seed):
+    flat, loop = _params_of(shapes, dtype, seed), _params_of(shapes, dtype, seed)
+    flat_state, loop_state = AdamState.for_params(flat), AdamState.for_params(loop)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(steps):
+        for name, p in flat.items():
+            g = rng.standard_normal(p.shape).astype(dtype)
+            p.grad, loop[name].grad = g, g.copy()
+        adam_step(flat, flat_state, lr, weight_decay)
+        per_tensor_adam_step(loop, loop_state, lr, weight_decay)
+    assert flat_state.t == loop_state.t == steps
+    for name, p in flat.items():
+        np.testing.assert_array_equal(p.data, loop[name].data)
+        np.testing.assert_array_equal(flat_state.m[name], loop_state.m[name])
+        np.testing.assert_array_equal(flat_state.v[name], loop_state.v[name])
+
+
+def test_for_params_lays_parameters_end_to_end():
+    params = _params_of([(2, 3), (4,), (1, 2, 2)], "float32", 0)
+    before = {k: p.data.copy() for k, p in params.items()}
+    state = AdamState.for_params(params)
+    assert state.flat.shape == (14,) and state.flat.dtype == np.float32
+    offset = 0
+    for name, p in params.items():
+        assert np.shares_memory(p.data, state.flat)
+        np.testing.assert_array_equal(p.data, before[name])
+        np.testing.assert_array_equal(state.flat[offset:offset + p.size], p.data.ravel())
+        assert state.m[name].shape == state.v[name].shape == p.shape
+        assert np.shares_memory(state.m[name], state.flat_m)
+        offset += p.size
+
+
+def test_mixed_dtypes_rejected():
+    params = {"a": Tensor(np.zeros(2, np.float32)), "b": Tensor(np.zeros(2, np.float64))}
+    with pytest.raises(ValueError, match="one dtype"):
+        AdamState.for_params(params)
+
+
+def test_gradient_dtype_mismatch_names_parameter():
+    params = _params_of([(3,), (2,)], "float32", 0)
+    state = AdamState.for_params(params)
+    params["p0"].grad = np.zeros(3, np.float32)
+    params["p1"].grad = np.zeros(2, np.float64)
+    with pytest.raises(ValueError, match="'p1'.*float32"):
+        adam_step(params, state, lr=0.1)
+    assert state.t == 0  # nothing was updated
+
+
+def test_rebound_parameter_names_parameter():
+    params = _params_of([(3,), (2,)], "float64", 0)
+    state = AdamState.for_params(params)
+    params["p1"].data = params["p1"].data.copy()
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    with pytest.raises(ValueError, match="'p1'.*np.copyto"):
+        adam_step(params, state, lr=0.1)
+
+
+def _training_config(dtype):
+    return TrainConfig(
+        seed=3, epochs=1, base_lr=2e-3, crop_size=None, max_steps=3,
+        model=ModelConfig(feat_h=4, feat_w=4, c_i=8, c_l=8, c_f=8, c_a=8, rank=4,
+                          backbone_channels=(4, 4, 4, 4, 4), dtype=dtype),
+        synth=SynthConfig(size=48, samples=8, seed=3, target_scale=(18.0, 26.0),
+                          distractor_range=(0, 1)),
+    )
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_flat_adam_training_bit_identical(tmp_path, monkeypatch, dtype):
+    cfg = _training_config(dtype)
+    synth_generate(cfg.synth, tmp_path / "data")
+    flat = train(cfg, tmp_path / "data", tmp_path / "flat")
+    monkeypatch.setattr(train_mod, "adam_step", per_tensor_adam_step)
+    loop = train(cfg, tmp_path / "data", tmp_path / "loop")
+    assert flat.steps == loop.steps == 3
+    assert flat.losses == loop.losses
+    a, b = load_checkpoint(flat.checkpoint_path), load_checkpoint(loop.checkpoint_path)
+    assert a.adam_t == b.adam_t == 3
+    for group in ("params", "adam_m", "adam_v"):
+        assert getattr(a, group).keys() == getattr(b, group).keys()
+        for name, arr in getattr(a, group).items():
+            np.testing.assert_array_equal(arr, getattr(b, group)[name])
+    with open(flat.checkpoint_path, "rb") as fa, open(loop.checkpoint_path, "rb") as fb:
+        assert fa.read() == fb.read()

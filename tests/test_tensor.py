@@ -404,6 +404,35 @@ def test_avg_pool2d_odd_input_replicates_edge():
     np.testing.assert_allclose(out.data[2, 0, 0], (x[4, 0, 0] + x[4, 1, 0]) / 2)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pad_edge_matches_numpy_edge_padding(dtype):
+    rng = np.random.default_rng(5)
+    for h, w, c in [(1, 1, 1), (1, 3, 2), (2, 1, 3), (3, 4, 1), (5, 5, 4), (7, 2, 2)]:
+        x = rng.standard_normal((h, w, c)).astype(dtype)
+        for pad in range(13):
+            got = convops._pad_edge(x, (pad, pad), (pad, pad))
+            want = np.pad(x, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+        for rows, cols in [((0, 1), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (0, 3)),
+                           ((2, 0), (0, 5)), ((4, 1), (3, 2))]:
+            np.testing.assert_array_equal(convops._pad_edge(x, rows, cols),
+                                          np.pad(x, (rows, cols, (0, 0)), mode="edge"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avg_pool2d_odd_sizes_match_edge_padded_mean(dtype):
+    rng = np.random.default_rng(6)
+    for h, w, window in [(5, 5, 2), (3, 4, 2), (4, 7, 2), (7, 7, 3), (9, 5, 4), (1, 1, 1)]:
+        x = rng.standard_normal((h, w, 3)).astype(dtype)
+        xp = np.pad(x, ((0, -h % window), (0, -w % window), (0, 0)), mode="edge")
+        want = xp.reshape(xp.shape[0] // window, window, xp.shape[1] // window, window,
+                          3).mean(axis=(1, 3))
+        got = convops.avg_pool2d(Tensor(x), window=window).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_record_op_custom_extension():
     # doubling with a correct hand-written rule round-trips through backward
     x = Tensor(np.arange(4.0), requires_grad=True)

@@ -381,9 +381,21 @@ def test_toy_300_steps_halves_smoothed_loss(tmp_path):
     assert tail <= 0.5 * head, (head, tail)
 
 
-def test_freeze_backbone_keeps_stage_weights(tmp_path, tiny_data):
-    from cbce.model import CbceNet
+def _stage_params(model):
+    return {k: t for k, t in model.parameters().items() if k.startswith("encoder.stage")}
 
+
+def test_freeze_backbone_keeps_stage_weights(tmp_path, tiny_data, monkeypatch):
+    import cbce.train as train_mod
+
+    models = []
+
+    class Recorded(CbceNet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    monkeypatch.setattr(train_mod, "CbceNet", Recorded)
     cfg = _tiny_config(max_steps=3, freeze_backbone=True)
     result = train(cfg, tiny_data, tmp_path / "run")
     trained = load_checkpoint(result.checkpoint_path).params
@@ -394,6 +406,44 @@ def test_freeze_backbone_keeps_stage_weights(tmp_path, tiny_data):
         if name.startswith("encoder.stage"):
             np.testing.assert_array_equal(trained[name], ref_params[name])
     assert not np.array_equal(trained["head.mask.w"], ref_params["head.mask.w"])
+    # frozen stages record no nodes, so backward gives them no gradient
+    frozen = _stage_params(models[0])
+    assert frozen and all(not t.requires_grad and t.grad is None for t in frozen.values())
+
+    # a run whose stages still require grad (and so backpropagate into
+    # them) trains the other parameters bit for bit the same
+    loss = CbceNet.loss
+
+    def loss_with_stage_grads(self, *args):
+        for t in _stage_params(self).values():
+            t.requires_grad = True
+        return loss(self, *args)
+
+    monkeypatch.setattr(CbceNet, "loss", loss_with_stage_grads)
+    graded = train(cfg, tiny_data, tmp_path / "graded")
+    assert graded.losses == result.losses
+    assert all(t.grad is not None for t in _stage_params(models[1]).values())
+    for name, arr in load_checkpoint(graded.checkpoint_path).params.items():
+        np.testing.assert_array_equal(arr, trained[name])
+
+
+def test_load_state_copies_into_existing_buffers(tiny_ckpt):
+    from cbce.optim import AdamState, adam_step
+
+    ckpt = load_checkpoint(tiny_ckpt)
+    model = CbceNet(ModelConfig.from_dict(ckpt.config["model"]),
+                    len(ckpt.config["vocab"]), rng=1)
+    params = model.parameters()
+    state = AdamState.for_params(params)
+    model.load_state(ckpt.params)
+    for name, p in params.items():
+        assert p.data is state.views[name]  # still the optimizer's view
+        np.testing.assert_array_equal(p.data, ckpt.params[name])
+        p.grad = np.zeros_like(p.data)
+    adam_step(params, state, lr=1e-3)
+    params["head.mask.w"].data = params["head.mask.w"].data.copy()
+    with pytest.raises(ValueError, match="'head.mask.w'"):
+        adam_step(params, state, lr=1e-3)
 
 
 def test_checkpoint_dimension_mismatch_rejected(tmp_path, tiny_data):
