@@ -301,8 +301,9 @@ def rasterize_shape(kind: str, canvas: int, cy: float, cx: float, size: float,
     pixel against rounding, clipped to the canvas); the pixels outside it
     are False.
     """
-    r0, r1 = _window(cy, abs(size) / 2.0, canvas)
-    c0, c1 = _window(cx, abs(size) / 2.0, canvas)
+    reach = abs(size) / 2.0
+    r0, r1 = _window(cy, reach, canvas)
+    c0, c1 = _window(cx, reach, canvas)
     rr, cc = np.mgrid[r0:r1, c0:c1].astype(np.float64)
     mask = np.zeros((canvas, canvas), dtype=bool)
     mask[r0:r1, c0:c1] = _shape_test(kind, rr - cy, cc - cx, size, orient)

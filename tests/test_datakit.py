@@ -5,9 +5,6 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from cbce import datakit
 from cbce.datakit import (
     DEFAULT_BANK,
@@ -263,15 +260,6 @@ def test_rasterize_shape_window_matches_full_canvas():
                         assert got.shape == (canvas, canvas) and got.dtype == bool
                         np.testing.assert_array_equal(got, want, err_msg=str(
                             (kind, orient, size, cy, cx)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(sorted(set(datakit.SHAPE_FOR_CLASS.values()))),
-       orient=st.integers(0, 3), size=st.floats(0.5, 40.0),
-       cy=st.floats(-20.0, 50.0), cx=st.floats(-20.0, 50.0))
-def test_rasterize_shape_window_property(kind, orient, size, cy, cx):
-    np.testing.assert_array_equal(rasterize_shape(kind, 30, cy, cx, size, orient),
-                                  _full_canvas_shape(kind, 30, cy, cx, size, orient))
 
 
 def test_class_balance_within_20pct():
