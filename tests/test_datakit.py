@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+
 from cbce import datakit
 from cbce.datakit import (
     DEFAULT_BANK,
