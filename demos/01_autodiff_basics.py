@@ -5,14 +5,14 @@ Run from the repository root:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from cbce import Tensor, backward, grad_check
-from cbce.tensor import GraphConsumedError, matmul, record_op, softmax, tsum
+from cbce.tensor import GraphConsumedError, matmul, mul, record_op, softmax, tsum
 
 print("== building a small graph ==")
 a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
 b = Tensor([[0.5], [-1.0]], requires_grad=True)
 scores = matmul(a, b)                      # (2, 1)
 probs = softmax(tsum(scores, axis=1), scale=1.0)
-loss = tsum(probs * Tensor([1.0, 0.0]))
+loss = tsum(mul(probs, Tensor([1.0, 0.0])))
 print(f"scores {scores.data.ravel()}, probs {probs.data}, loss {loss.item():.4f}")
 
 backward(loss)
@@ -21,7 +21,7 @@ print("d loss / d b =\n", b.grad)
 
 print("\n== one backward pass per recording ==")
 x = Tensor(np.ones(3), requires_grad=True)
-y = tsum(x * x)
+y = tsum(mul(x, x))
 backward(y)
 try:
     backward(y)

@@ -44,7 +44,7 @@ print(f"\nround-1 attention over level 3: {attn.shape[0]} positions, "
 
 pred = net.head.forward(state.fused[3], state.fused[4], state.fused[5], image.shape[:2])
 loss = bce_loss(pred, mask.astype(np.float64))
-print(f"\nmask prediction {pred.probs.shape}, untrained loss {loss.item():.1f} "
+print(f"\nmask prediction {pred.prob_map.shape}, untrained loss {loss.item():.1f} "
       f"(uniform-guess level is {mask.size * np.log(2):.1f})")
 
 backward(loss)

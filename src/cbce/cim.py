@@ -44,20 +44,17 @@ class Vlm:
     """Vision-guided language update.
 
     Scores every spatial position against the projected language vector
-    (scaled dot-product over a shared width C), pools the fused map with
+    (scaled dot-product over the shared width C_v), pools the fused map with
     the resulting attention row, and merges pooled context with the old
     language vector through a 1x1 projection plus L2 normalization.
     """
 
-    def __init__(self, c_l: int, c_v: int, attn_width: int | None = None, rng=None,
-                 dtype=np.float64):
+    def __init__(self, c_l: int, c_v: int, rng=None, dtype=np.float64):
         rng = rng or np.random.default_rng(0)
-        c = attn_width or c_v
-        self.attn_width = c
-        self.w_theta = init.glorot(rng, (c_l, c), c_l, c, dtype)
-        self.b_theta = init.zeros((c,), dtype)
-        self.w_phi = init.glorot(rng, (c_v, c), c_v, c, dtype)
-        self.b_phi = init.zeros((c,), dtype)
+        self.w_theta = init.glorot(rng, (c_l, c_v), c_l, c_v, dtype)
+        self.b_theta = init.zeros((c_v,), dtype)
+        self.w_phi = init.glorot(rng, (c_v, c_v), c_v, c_v, dtype)
+        self.b_phi = init.zeros((c_v,), dtype)
         self.w_out = init.glorot(rng, (c_l + c_v, c_l), c_l + c_v, c_l, dtype)
         self.b_out = init.zeros((c_l,), dtype)
 
@@ -66,10 +63,10 @@ class Vlm:
         hw = h * w
         # flat feeds phi and the pooling, so it stays one node (see linear)
         flat = reshape(fused, (hw, c_v))
-        phi = linear(flat, self.w_phi, self.b_phi)  # (HW, C)
-        theta = linear(lang, self.w_theta, self.b_theta)  # (C,)
-        scores = matmul(phi, reshape(theta, (theta.size, 1)))  # (HW, 1)
-        attn = softmax(reshape(scores, (hw,)), scale=float(np.sqrt(self.attn_width)))
+        phi = linear(flat, self.w_phi, self.b_phi)  # (HW, C_v)
+        theta = linear(lang, self.w_theta, self.b_theta)  # (C_v,)
+        scores = matmul(phi, reshape(theta, (c_v, 1)))  # (HW, 1)
+        attn = softmax(reshape(scores, (hw,)), scale=float(np.sqrt(c_v)))
         pooled = matmul(reshape(attn, (1, hw)), flat)  # (1, C_v)
         merged = concat([reshape(lang, (1, lang.size)), pooled], axis=1)
         out = linear(merged, self.w_out, self.b_out)
@@ -123,14 +120,13 @@ class Cim:
     """The full schedule: ``rounds`` bilateral updates per cycle, with
     unshared parameters per (level, round); cycles reuse them."""
 
-    def __init__(self, c_l: int, c_v: int, rounds: int = 2, attn_width: int | None = None,
-                 rng=None, dtype=np.float64):
+    def __init__(self, c_l: int, c_v: int, rounds: int = 2, rng=None, dtype=np.float64):
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         rng = rng or np.random.default_rng(0)
         self.rounds = rounds
         self.vlm = {
-            i: [Vlm(c_l, c_v, attn_width, rng=rng, dtype=dtype) for _ in range(rounds)]
+            i: [Vlm(c_l, c_v, rng=rng, dtype=dtype) for _ in range(rounds)]
             for i in LEVELS
         }
         self.lvm = {

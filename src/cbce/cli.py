@@ -21,6 +21,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cbce", description="phrase-conditioned affordance segmentation")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -43,7 +50,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--beta-sq", type=float, default=0.3)
     p.add_argument("--report", default=None, help="prefix for report.csv/json")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_positive_int, default=None)
 
     p = sub.add_parser("infer", help="segment one image from phrases")
     p.add_argument("--ckpt", required=True)
@@ -55,7 +62,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference check of every op")
     p.add_argument("--op", action="append", default=None, help="restrict to named ops")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=20, help="number of random draws per op")
+    p.add_argument("--seeds", type=_positive_int, default=20, help="random draws per op")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--skip-pipeline", action="store_true")
     return parser

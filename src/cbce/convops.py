@@ -1,10 +1,11 @@
-"""Spatial operations: dilated convolution, pooling, bilinear resizing.
+"""Spatial operations: convolution, pooling, bilinear resizing.
 
 All maps are H x W x C. Convolutions are stride-1 cross-correlations with
-"same" padding of dilation * (k - 1) / 2 per side, implemented as k*k
-shifted matrix products so numpy's BLAS does the heavy lifting. Padding
-replicates the border pixel, so translation-invariant stacks keep
-spatially constant inputs exactly constant.
+"same" padding of dilation * (k - 1) / 2 per side (only the depthwise one
+is dilated), implemented as k*k shifted matrix products so numpy's BLAS
+does the heavy lifting. Padding replicates the border pixel, so
+translation-invariant stacks keep spatially constant inputs exactly
+constant.
 """
 from __future__ import annotations
 
@@ -43,17 +44,17 @@ def _fold_pad_gradient(dxp: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
     return dx
 
 
-def _check_kernel(k: int, dilation: int):
+def _check_kernel(k: int, dilation: int = 1):
     if k % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {k}")
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
         raise ValueError(f"dilation must be a positive integer, got {dilation!r}")
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
-    """Dilated 2-D cross-correlation.
+def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """2-D cross-correlation plus bias.
 
-    x: (H, W, Cin), w: (k, k, Cin, Cout), bias: (Cout,) or None.
+    x: (H, W, Cin), w: (k, k, Cin, Cout), bias: (Cout,).
     Output spatial size equals input ("same" padding).
     """
     if x.ndim != 3:
@@ -61,25 +62,22 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"conv2d kernel must be (k, k, Cin, Cout), got {w.shape}")
     k = w.shape[0]
-    _check_kernel(k, dilation)
+    _check_kernel(k)
     if w.shape[2] != x.shape[2]:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
     h, wid, cin = x.shape
     cout = w.shape[3]
-    pad = dilation * (k - 1) // 2
+    if bias.shape != (cout,):
+        raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
+    pad = (k - 1) // 2
     xp = _pad_edge(x.data, (pad, pad), (pad, pad))
     wd = w.data
 
     acc = np.zeros((h * wid, cout), dtype=x.dtype)
     for a in range(k):
         for b in range(k):
-            xs = xp[a * dilation : a * dilation + h, b * dilation : b * dilation + wid]
-            acc += xs.reshape(-1, cin) @ wd[a, b]
-    out = acc.reshape(h, wid, cout)
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
-        out = out + bias.data
+            acc += xp[a : a + h, b : b + wid].reshape(-1, cin) @ wd[a, b]
+    out = acc.reshape(h, wid, cout) + bias.data
 
     def bwd(g):
         g2 = g.reshape(-1, cout)
@@ -87,20 +85,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) 
         dxp = np.zeros_like(xp)
         for a in range(k):
             for b in range(k):
-                sl = (
-                    slice(a * dilation, a * dilation + h),
-                    slice(b * dilation, b * dilation + wid),
-                )
-                xs = xp[sl]
-                dw[a, b] = xs.reshape(-1, cin).T @ g2
+                sl = (slice(a, a + h), slice(b, b + wid))
+                dw[a, b] = xp[sl].reshape(-1, cin).T @ g2
                 dxp[sl] += (g2 @ wd[a, b].T).reshape(h, wid, cin)
-        grads = [_fold_pad_gradient(dxp, pad, h, wid), dw]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 1)))
-        return tuple(grads)
+        return _fold_pad_gradient(dxp, pad, h, wid), dw, g.sum(axis=(0, 1))
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return record_op("conv2d", out, inputs, bwd)
+    return record_op("conv2d", out, (x, w, bias), bwd)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
@@ -137,24 +127,6 @@ def depthwise_conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         return _fold_pad_gradient(dxp, pad, h, wid), dw
 
     return record_op("depthwise_conv2d", out, (x, w), bwd)
-
-
-def depthwise_separable_conv(
-    x: Tensor,
-    depthwise_w: Tensor,
-    pointwise_w: Tensor,
-    dilation: int = 1,
-    bias: Tensor | None = None,
-) -> Tensor:
-    """Depthwise k x k stage followed by a 1x1 pointwise mix.
-
-    pointwise_w is (1, 1, Cin, Cout); equivalent to a single conv2d with
-    kernel K[a,b,ci,co] = depthwise_w[a,b,ci] * pointwise_w[0,0,ci,co].
-    """
-    if pointwise_w.ndim != 4 or pointwise_w.shape[:2] != (1, 1):
-        raise ShapeError(f"pointwise kernel must be (1, 1, Cin, Cout), got {pointwise_w.shape}")
-    mixed = depthwise_conv2d(x, depthwise_w, dilation)
-    return conv2d(mixed, pointwise_w, bias, dilation=1)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

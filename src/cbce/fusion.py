@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import init
-from .tensor import ShapeError, Tensor, concat, linear, mul, reshape, tanh
+from .tensor import Tensor, concat, linear, mul, reshape, tanh
 
 
 @lru_cache(maxsize=32)
@@ -51,10 +51,8 @@ class BilinearFusion:
     """Rank-R Hadamard bilinear pooling of one visual level with the
     language vector, applied position-wise with shared parameters."""
 
-    def __init__(self, c_i: int, c_l: int, c_f: int, rank: int = 16, use_tanh: bool = True,
-                 rng=None, dtype=np.float64):
+    def __init__(self, c_i: int, c_l: int, c_f: int, rank: int = 16, rng=None, dtype=np.float64):
         rng = rng or np.random.default_rng(0)
-        self.use_tanh = use_tanh
         self.wv = init.glorot(rng, (c_i, rank), c_i, rank, dtype)
         self.bv = init.zeros((rank,), dtype)
         self.wl = init.glorot(rng, (c_l, rank), c_l, rank, dtype)
@@ -67,9 +65,7 @@ class BilinearFusion:
         # v stays (HW, rank), so mul sums the gradient of l over one axis
         v = linear(reshape(visual, (h * w, c_i)), self.wv, self.bv)
         l = linear(lang, self.wl, self.bl)
-        joint = linear(mul(v, l), self.wo, self.bo)  # (HW, rank) * (rank,) broadcast
-        if self.use_tanh:
-            joint = tanh(joint)
+        joint = tanh(linear(mul(v, l), self.wo, self.bo))  # (HW, rank) * (rank,) broadcast
         return reshape(joint, (h, w, self.wo.shape[1]))
 
     def parameters(self):
@@ -81,11 +77,9 @@ def build_initial_fused(pyramid, lang: Tensor, fusers: dict) -> dict:
     """Per level: concat(bilinear_fuse(I_i, L0), coordinate grid).
 
     Returns {3, 4, 5} -> (H, W, C_f + 8); the last 8 channels are the
-    coordinate grid, identical across levels.
+    coordinate grid, identical across levels. ``FeaturePyramid`` guarantees
+    the levels share one shape.
     """
-    shapes = {i: t.shape for i, t in pyramid.levels.items()}
-    if len(set(shapes.values())) != 1:
-        raise ShapeError(f"pyramid levels disagree on shape: {shapes}")
     h, w, _ = pyramid.shape
     grid = Tensor(spatial_coords(h, w, dtype=lang.dtype))
     return {

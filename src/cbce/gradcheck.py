@@ -113,7 +113,9 @@ def _rt(rng, *shape, scale=1.0):
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
 
-def _suite_entries():
+def standard_op_suite() -> dict:
+    """name -> builder(rng) returning (fn, inputs) for grad_check."""
+
     def add_entry(rng):
         a, b = _rt(rng, 3, 4), _rt(rng, 1, 4)
         return (lambda a, b: T.add(a, b)), [a, b]
@@ -188,27 +190,13 @@ def _suite_entries():
         x = _rt(rng, 4, 4, 2)
         w = _rt(rng, 3, 3, 2, 2, scale=0.5)
         b = _rt(rng, 2)
-        return (lambda x, w, b: convops.conv2d(x, w, b, dilation=1)), [x, w, b]
-
-    def conv_dilated_entry(rng):
-        x = _rt(rng, 5, 5, 2)
-        w = _rt(rng, 3, 3, 2, 3, scale=0.5)
-        b = _rt(rng, 3)
-        return (lambda x, w, b: convops.conv2d(x, w, b, dilation=2)), [x, w, b]
+        return (lambda x, w, b: convops.conv2d(x, w, b)), [x, w, b]
 
     def depthwise_entry(rng):
-        x = _rt(rng, 4, 4, 3)
+        x = _rt(rng, 5, 5, 3)
         w = _rt(rng, 3, 3, 3, scale=0.5)
-        return (lambda x, w: convops.depthwise_conv2d(x, w, dilation=1)), [x, w]
-
-    def separable_entry(rng):
-        x = _rt(rng, 3, 3, 2)
-        dw = _rt(rng, 3, 3, 2, scale=0.5)
-        pw = _rt(rng, 1, 1, 2, 3, scale=0.5)
-        b = _rt(rng, 3)
-        return (
-            lambda x, dw, pw, b: convops.depthwise_separable_conv(x, dw, pw, dilation=2, bias=b)
-        ), [x, dw, pw, b]
+        # dilated like the ASPP branches; pad 2 replicates two border rings
+        return (lambda x, w: convops.depthwise_conv2d(x, w, dilation=2)), [x, w]
 
     def gap_entry(rng):
         x = _rt(rng, 3, 4, 2)
@@ -242,9 +230,7 @@ def _suite_entries():
         "lstm_phrases": lstm_entry,
         "bce_with_logits_sum": bce_entry,
         "conv2d": conv_entry,
-        "conv2d_dilated": conv_dilated_entry,
         "depthwise_conv2d": depthwise_entry,
-        "depthwise_separable_conv": separable_entry,
         "global_avg_pool": gap_entry,
         "avg_pool2d": avgpool_entry,
         "bilinear_upsample": upsample_entry,
@@ -252,20 +238,15 @@ def _suite_entries():
     }
 
 
-def standard_op_suite() -> dict:
-    """name -> builder(rng) returning (fn, inputs) for grad_check."""
-    return _suite_entries()
-
-
 def micro_pipeline_entry():
     """Builder for the composed attention/gating/head/loss micro-graph.
 
-    Three 2x2 fused maps and a language vector flow through one
-    vision-to-language update, one gated aggregation per level, the
-    multi-scale head, and the summed cross entropy. Every parameter is a
-    checked input.
+    Three 2x2 fused maps and a language vector flow through one round of
+    the interaction schedule (a vision-to-language update and a gated
+    aggregation per level), the multi-scale head, and the summed cross
+    entropy. Every parameter is a checked input.
     """
-    from .cim import Lvm, Vlm
+    from .cim import Cim
     from .seghead import SegHead
 
     def build(rng):
@@ -273,21 +254,14 @@ def micro_pipeline_entry():
         c_v, c_l, c_a = 3, 3, 2
         feats = {i: _rt(rng, h, w, c_v, scale=0.5) for i in (3, 4, 5)}
         lang = _rt(rng, c_l, scale=0.5)
-        vlm = {i: Vlm(c_l, c_v, rng=rng) for i in (3, 4, 5)}
-        lvm = {i: Lvm(i, c_l, c_v, rng=rng) for i in (3, 4, 5)}
+        cim = Cim(c_l, c_v, rounds=1, rng=rng)
         head = SegHead(3 * c_v, c_a, rng=rng)
         target = (rng.random((2 * h, 2 * w)) > 0.5).astype(np.float64)
-
-        params = []
-        for mod in [*vlm.values(), *lvm.values(), head]:
-            params.extend(t for _, t in mod.parameters())
+        params = [t for mod in (cim, head) for _, t in mod.parameters()]
 
         def fn(*_):
-            new_lang = {i: vlm[i].forward(lang, feats[i]) for i in (3, 4, 5)}
-            new_feats = {
-                i: lvm[i].forward(new_lang[i], feats) for i in (3, 4, 5)
-            }
-            pred = head.forward(new_feats[3], new_feats[4], new_feats[5], (2 * h, 2 * w))
+            fused = cim.forward(lang, feats).fused
+            pred = head.forward(fused[3], fused[4], fused[5], (2 * h, 2 * w))
             return T.bce_with_logits_sum(pred.logits, target)
 
         return fn, [lang, *feats.values(), *params]

@@ -30,8 +30,6 @@ class ModelConfig:
     rounds: int = 2
     cycles: int = 1
     backbone_channels: tuple = (8, 16, 32, 32, 32)
-    attn_width: int | None = None  # defaults to c_v
-    fuse_tanh: bool = True
     dtype: str = "float64"
 
     @property
@@ -77,11 +75,10 @@ class CbceNet:
         )
         self.phrase_encoder = PhraseEncoder(vocab_size, cfg.c_l, rng=rng, dtype=dt)
         self.fusers = {
-            i: BilinearFusion(cfg.c_i, cfg.c_l, cfg.c_f, cfg.rank, cfg.fuse_tanh, rng=rng, dtype=dt)
+            i: BilinearFusion(cfg.c_i, cfg.c_l, cfg.c_f, cfg.rank, rng=rng, dtype=dt)
             for i in (3, 4, 5)
         }
-        self.cim = Cim(cfg.c_l, cfg.c_v, rounds=cfg.rounds, attn_width=cfg.attn_width,
-                       rng=rng, dtype=dt)
+        self.cim = Cim(cfg.c_l, cfg.c_v, rounds=cfg.rounds, rng=rng, dtype=dt)
         self.head = SegHead(3 * cfg.c_v, cfg.c_a, rng=rng, dtype=dt)
 
     def forward(self, image: np.ndarray, phrases: PhraseSet) -> MaskPrediction:

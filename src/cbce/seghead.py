@@ -8,17 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import init
-from .convops import bilinear_upsample, depthwise_separable_conv, global_avg_pool
-from .tensor import ShapeError, Tensor, bce_with_logits_sum, concat, linear, reshape, sigmoid
+from .convops import bilinear_upsample, depthwise_conv2d, global_avg_pool
+from .tensor import ShapeError, Tensor, _sigmoid, bce_with_logits_sum, concat, linear, reshape
 
 ASPP_DILATIONS = (1, 3, 7, 11)
-
-
-def concat_levels(f3: Tensor, f4: Tensor, f5: Tensor) -> Tensor:
-    """Channel concatenation in level order 3, 4, 5."""
-    if not (f3.shape == f4.shape == f5.shape):
-        raise ShapeError(f"level shapes differ: {f3.shape}, {f4.shape}, {f5.shape}")
-    return concat([f3, f4, f5], axis=2)
 
 
 class Aspp:
@@ -26,7 +19,8 @@ class Aspp:
 
     Branch 1 pools globally, projects, and broadcasts back to the grid;
     branches 2..5 are depthwise-separable 3x3 convs at dilations
-    {1, 3, 7, 11}. Every branch emits ``c_out`` channels.
+    {1, 3, 7, 11}: a per-channel dilated 3x3, then a pointwise ``linear``
+    mix. Every branch emits ``c_out`` channels.
     """
 
     def __init__(self, c_in: int, c_out: int = 64, rng=None, dtype=np.float64):
@@ -37,7 +31,7 @@ class Aspp:
         for d in ASPP_DILATIONS:
             self.branches[d] = (
                 init.glorot(rng, (3, 3, c_in), 9 * c_in, 9 * c_in, dtype),
-                init.glorot(rng, (1, 1, c_in, c_out), c_in, c_out, dtype),
+                init.glorot(rng, (c_in, c_out), c_in, c_out, dtype),
                 init.zeros((c_out,), dtype),
             )
         self.fuse_w = init.glorot(rng, (5 * c_out, c_out), 5 * c_out, c_out, dtype)
@@ -49,7 +43,7 @@ class Aspp:
         outs = [bilinear_upsample(pooled, h, w)]
         for d in ASPP_DILATIONS:
             dw, pw, pb = self.branches[d]
-            outs.append(depthwise_separable_conv(x, dw, pw, dilation=d, bias=pb))
+            outs.append(linear(depthwise_conv2d(x, dw, dilation=d), pw, pb))
         return linear(concat(outs, axis=2), self.fuse_w, self.fuse_b)
 
     def parameters(self):
@@ -66,14 +60,13 @@ class Aspp:
 
 @dataclass
 class MaskPrediction:
-    """Full-resolution mask logits and their sigmoid probabilities."""
+    """Full-resolution mask logits; ``prob_map`` is their sigmoid."""
 
     logits: Tensor  # (H_img, W_img)
-    probs: Tensor  # sigmoid(logits), same shape
 
     @property
     def prob_map(self) -> np.ndarray:
-        return self.probs.data
+        return _sigmoid(self.logits.data)
 
 
 class SegHead:
@@ -89,10 +82,11 @@ class SegHead:
         h_img, w_img = image_size
         logit_map = linear(aspp_out, self.mask_w, self.mask_b)
         logits = reshape(bilinear_upsample(logit_map, h_img, w_img), (h_img, w_img))
-        return MaskPrediction(logits=logits, probs=sigmoid(logits))
+        return MaskPrediction(logits=logits)
 
     def forward(self, f3: Tensor, f4: Tensor, f5: Tensor, image_size) -> MaskPrediction:
-        return self.predict_mask(self.aspp.forward(concat_levels(f3, f4, f5)), image_size)
+        """Levels are concatenated on channels in the order 3, 4, 5."""
+        return self.predict_mask(self.aspp.forward(concat([f3, f4, f5], axis=2)), image_size)
 
     def parameters(self):
         for name, t in self.aspp.parameters():

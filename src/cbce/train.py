@@ -4,7 +4,9 @@ One sample per step: draw a record in seeded shuffled order, crop/flip,
 run the network, backpropagate the summed cross entropy, and apply Adam
 under the polynomial schedule. Every random stream is keyed off the
 config seed plus a purpose tag, so identical configs give identical loss
-traces. Checkpoints are written per epoch and are self-contained.
+traces. A checkpoint is written per completed epoch and one for the
+final state (an epoch cut short by ``max_steps`` has only that one);
+each is self-contained.
 """
 from __future__ import annotations
 
@@ -45,8 +47,9 @@ class TrainConfig:
             raise ValueError("only batch_size 1 is supported")
 
 
-def load_config(path, dtype_override: str | None = None) -> TrainConfig:
-    """Read the sectioned JSON config ({seed, train, model, synth})."""
+def load_config(path) -> TrainConfig:
+    """Read the sectioned JSON config ({seed, train, model, synth}); a set
+    ``CBCE_DTYPE`` (float32 or float64) replaces the model dtype."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     seed = raw.get("seed", 7)
@@ -62,7 +65,7 @@ def load_config(path, dtype_override: str | None = None) -> TrainConfig:
     if unknown:
         raise ValueError(f"unknown train config key(s): {', '.join(unknown)}")
     cfg = TrainConfig(seed=seed, model=model, synth=synth, **train_section)
-    override = dtype_override or os.environ.get("CBCE_DTYPE")
+    override = os.environ.get("CBCE_DTYPE")
     if override:
         if override not in ("float32", "float64"):
             raise ValueError(f"CBCE_DTYPE must be float32 or float64, got {override!r}")
@@ -135,9 +138,10 @@ def model_from_checkpoint(ckpt: Checkpoint):
 
 
 def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
-    """Run the loop over data_dir/{train.jsonl,vocab.txt}; write logs and
-    per-epoch checkpoints under out_dir. Aborts on a non-finite loss with
-    the offending step in the message."""
+    """Run the loop over data_dir/{train.jsonl,vocab.txt}; write logs, a
+    checkpoint per completed epoch and the final ``model.cbce`` under
+    out_dir. Aborts on a non-finite loss with the offending step in the
+    message."""
     data_dir, out_dir = str(data_dir), str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     records = load_manifest(os.path.join(data_dir, "train.jsonl"))
@@ -168,10 +172,11 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
                 log_stream.write(json.dumps(payload) + "\n")
 
         for epoch in range(cfg.epochs):
+            if step >= max_steps:
+                break
             order = np.random.default_rng([cfg.seed, 100 + epoch]).permutation(len(samples))
+            order = order[: max_steps - step]
             for idx in order:
-                if step >= max_steps:
-                    break
                 rec, image, mask, phrases = samples[idx]
                 if cfg.crop_size:
                     image, mask = augment(
@@ -193,12 +198,10 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
                 losses.append(value)
                 emit({"step": step, "lr": lr, "loss": value})
                 step += 1
-            if cfg.checkpoint_every_epoch:
+            if cfg.checkpoint_every_epoch and len(order) == len(samples):
                 path = os.path.join(out_dir, f"ckpt_epoch{epoch:03d}.cbce")
                 save_checkpoint(path, _checkpoint_from(model, cfg, vocab, state, step))
                 epoch_ckpts.append(path)
-            if step >= max_steps:
-                break
         emit({"event": "done", "steps": step, "seconds": round(time.time() - t0, 3)})
 
     final_path = os.path.join(out_dir, "model.cbce")

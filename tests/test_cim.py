@@ -18,7 +18,7 @@ def _vlm_reference(lang, fused, mod):
     phi = flat @ mod.w_phi.data + mod.b_phi.data
     theta = lang @ mod.w_theta.data + mod.b_theta.data
     scores = np.array([float(np.dot(phi[p], theta)) for p in range(h * w)])
-    z = scores / np.sqrt(mod.attn_width)
+    z = scores / np.sqrt(c_v)
     z = z - z.max()
     attn = np.exp(z) / np.exp(z).sum()
     pooled = np.zeros(c_v)

@@ -42,32 +42,44 @@ def test_fusion_zero_language_gives_zero_map():
     np.testing.assert_array_equal(out.data, np.zeros((3, 3, 4)))
 
 
+def _linear_part(fuse, vis, lang):
+    """The fusion map before its tanh, computed from the module's weights."""
+    h, w, c_i = vis.shape
+    v = vis.reshape(h * w, c_i) @ fuse.wv.data + fuse.bv.data
+    l = lang @ fuse.wl.data + fuse.bl.data
+    return ((v * l) @ fuse.wo.data + fuse.bo.data).reshape(h, w, -1)
+
+
 def test_fusion_scales_linearly_in_language_without_tanh():
-    fuse = BilinearFusion(c_i=4, c_l=3, c_f=5, rank=2, use_tanh=False,
-                          rng=np.random.default_rng(2))
+    fuse = BilinearFusion(c_i=4, c_l=3, c_f=5, rank=2, rng=np.random.default_rng(2))
     rng = np.random.default_rng(3)
-    vis = Tensor(rng.standard_normal((2, 2, 4)))
+    vis = rng.standard_normal((2, 2, 4))
     lang = rng.standard_normal(3)
-    base = fuse.forward(vis, Tensor(lang)).data
-    scaled = fuse.forward(vis, Tensor(2.5 * lang)).data
+    base = _linear_part(fuse, vis, lang)
+    np.testing.assert_allclose(fuse.forward(Tensor(vis), Tensor(lang)).data, np.tanh(base),
+                               atol=1e-12)
+    scaled = _linear_part(fuse, vis, 2.5 * lang)
+    np.testing.assert_allclose(fuse.forward(Tensor(vis), Tensor(2.5 * lang)).data,
+                               np.tanh(scaled), atol=1e-12)
     np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-12)
 
 
 def test_fusion_bilinear_in_each_argument_without_tanh():
-    fuse = BilinearFusion(c_i=3, c_l=4, c_f=3, rank=2, use_tanh=False,
-                          rng=np.random.default_rng(4))
+    fuse = BilinearFusion(c_i=3, c_l=4, c_f=3, rank=2, rng=np.random.default_rng(4))
     rng = np.random.default_rng(5)
-    vis = Tensor(rng.standard_normal((2, 3, 3)))
+    vis = rng.standard_normal((2, 3, 3))
     l1, l2 = rng.standard_normal(4), rng.standard_normal(4)
     a, b = 0.7, -1.3
-    combo = fuse.forward(vis, Tensor(a * l1 + b * l2)).data
-    parts = a * fuse.forward(vis, Tensor(l1)).data + b * fuse.forward(vis, Tensor(l2)).data
+    combo = _linear_part(fuse, vis, a * l1 + b * l2)
+    np.testing.assert_allclose(fuse.forward(Tensor(vis), Tensor(a * l1 + b * l2)).data,
+                               np.tanh(combo), atol=1e-12)
+    parts = a * _linear_part(fuse, vis, l1) + b * _linear_part(fuse, vis, l2)
     np.testing.assert_allclose(combo, parts, atol=1e-10)
     # and linear in the visual argument for a fixed language vector
     v1, v2 = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))
-    lang = Tensor(rng.standard_normal(4))
-    combo_v = fuse.forward(Tensor(a * v1 + b * v2), lang).data
-    parts_v = a * fuse.forward(Tensor(v1), lang).data + b * fuse.forward(Tensor(v2), lang).data
+    lang = rng.standard_normal(4)
+    combo_v = _linear_part(fuse, a * v1 + b * v2, lang)
+    parts_v = a * _linear_part(fuse, v1, lang) + b * _linear_part(fuse, v2, lang)
     np.testing.assert_allclose(combo_v, parts_v, atol=1e-10)
 
 

@@ -1,10 +1,16 @@
 """Gradient-checker behavior: suite coverage, negative control, determinism."""
+import os
+
 import numpy as np
 import pytest
 
+from cbce import convops
 from cbce import tensor as T
+from cbce.encoders import PhraseSet
 from cbce.gradcheck import grad_check, run_suite, standard_op_suite
-from cbce.tensor import Tensor, record_op
+from cbce.model import CbceNet
+from cbce.tensor import Tensor, backward, record_op
+from cbce.train import load_config
 
 
 def test_every_op_passes_fd_check_across_seeds():
@@ -13,6 +19,41 @@ def test_every_op_passes_fd_check_across_seeds():
     failed = [r for r in reports if not r.passed]
     assert not failed, failed
     assert len(reports) == len(standard_op_suite())
+
+
+def test_every_checked_op_has_a_network_caller(monkeypatch):
+    # an op keeps its gradcheck entry only while the network calls it, and
+    # every op the network records is checked
+    kinds = set()
+
+    def recording(original):
+        def record(op, *args):
+            kinds.add(op)
+            return original(op, *args)
+
+        return record
+
+    monkeypatch.setattr(T, "record_op", recording(T.record_op))
+    monkeypatch.setattr(convops, "record_op", recording(convops.record_op))
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json"))
+    rng = np.random.default_rng(0)
+    net = CbceNet(cfg.model, vocab_size=12, rng=rng)
+    phrases = PhraseSet(ids=[[2, 3, 4], [5, 6, 0]], lengths=[3, 2], vocab_size=12)
+    mask = (rng.random((40, 40)) > 0.5).astype(np.float64)
+    backward(net.loss(rng.random((40, 40, 3)), phrases, mask))
+    network = set(kinds)
+
+    checked = {}
+    for name, build in standard_op_suite().items():
+        kinds.clear()
+        fn, inputs = build(np.random.default_rng(0))
+        fn(*inputs)
+        checked[name] = set(kinds)
+    # `sum` is exempt: it is the checker's own reduction of a non-scalar
+    # output to the scalar that drives both sides of the comparison
+    uncalled = {name: ks - network for name, ks in checked.items() if ks - network - {"sum"}}
+    assert uncalled == {}
+    assert network <= set().union(*checked.values())
 
 
 def test_matmul_passes_tight_tolerance():

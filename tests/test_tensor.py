@@ -80,7 +80,7 @@ def _naive_conv(x, w, bias, dilation):
 def test_conv2d_1x1_identity():
     x = Tensor(np.random.default_rng(1).standard_normal((4, 5, 3)))
     w = Tensor(np.eye(3).reshape(1, 1, 3, 3))
-    out = convops.conv2d(x, w)
+    out = convops.conv2d(x, w, Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, x.data)
 
 
@@ -93,29 +93,40 @@ def test_conv2d_zero_weights_bias_constant():
     np.testing.assert_allclose(out.data, expect)
 
 
-def test_conv2d_dilation3_matches_naive_loop():
+def test_conv2d_and_dilated_depthwise_match_naive_loop():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 5, 2))
     w = rng.standard_normal((3, 3, 2, 4))
     b = rng.standard_normal(4)
-    got = convops.conv2d(Tensor(x), Tensor(w), Tensor(b), dilation=3)
-    np.testing.assert_allclose(got.data, _naive_conv(x, w, b, 3), atol=1e-12)
+    got = convops.conv2d(Tensor(x), Tensor(w), Tensor(b))
+    np.testing.assert_allclose(got.data, _naive_conv(x, w, b, 1), atol=1e-12)
+    # a depthwise kernel is a full kernel that is diagonal in the channels
+    dw = rng.standard_normal((3, 3, 2))
+    got = convops.depthwise_conv2d(Tensor(x), Tensor(dw), dilation=3)
+    full = dw[:, :, :, None] * np.eye(2)
+    np.testing.assert_allclose(got.data, _naive_conv(x, full, None, 3), atol=1e-12)
 
 
-def test_conv2d_rejects_even_kernel_and_bad_dilation():
+def test_convs_reject_even_kernel_and_bad_dilation():
     x = Tensor(np.zeros((4, 4, 1)))
     with pytest.raises(ValueError):
-        convops.conv2d(x, Tensor(np.zeros((2, 2, 1, 1))))
+        convops.conv2d(x, Tensor(np.zeros((2, 2, 1, 1))), Tensor(np.zeros(1)))
+    with pytest.raises(ShapeError):
+        convops.conv2d(x, Tensor(np.zeros((3, 3, 1, 1))), Tensor(np.zeros(2)))
     with pytest.raises(ValueError):
-        convops.conv2d(x, Tensor(np.zeros((3, 3, 1, 1))), dilation=0)
+        convops.depthwise_conv2d(x, Tensor(np.zeros((2, 2, 1))))
+    with pytest.raises(ValueError):
+        convops.depthwise_conv2d(x, Tensor(np.zeros((3, 3, 1))), dilation=0)
 
 
+# a depthwise-separable conv (the ASPP branch) is a per-channel 3x3, then
+# a pointwise linear mix
 def test_depthwise_separable_delta_identity():
     x = Tensor(np.random.default_rng(4).standard_normal((4, 4, 2)))
     delta = np.zeros((3, 3, 2))
     delta[1, 1, :] = 1.0
-    pw = Tensor(np.eye(2).reshape(1, 1, 2, 2))
-    out = convops.depthwise_separable_conv(x, Tensor(delta), pw)
+    mixed = convops.depthwise_conv2d(x, Tensor(delta))
+    out = T.linear(mixed, Tensor(np.eye(2)), Tensor(np.zeros(2)))
     np.testing.assert_allclose(out.data, x.data)
 
 
@@ -123,10 +134,11 @@ def test_depthwise_separable_equals_materialized_kernel():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 4, 2))
     dw = rng.standard_normal((3, 3, 2))
-    pw = rng.standard_normal((1, 1, 2, 3))
-    got = convops.depthwise_separable_conv(Tensor(x), Tensor(dw), Tensor(pw), dilation=1)
-    # pointwise-of-depthwise == one conv with K[a,b,ci,co] = dw[a,b,ci]*pw[0,0,ci,co]
-    full = dw[:, :, :, None] * pw[0, 0][None, None]
+    pw = rng.standard_normal((2, 3))
+    mixed = convops.depthwise_conv2d(Tensor(x), Tensor(dw), dilation=1)
+    got = T.linear(mixed, Tensor(pw), Tensor(np.zeros(3)))
+    # pointwise-of-depthwise == one conv with K[a,b,ci,co] = dw[a,b,ci]*pw[ci,co]
+    full = dw[:, :, :, None] * pw[None, None]
     np.testing.assert_allclose(got.data, _naive_conv(x, full, None, 1), atol=1e-12)
 
 
@@ -134,12 +146,13 @@ def test_depthwise_separable_gradients():
     from cbce.gradcheck import grad_check
 
     rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 4, 2)), requires_grad=True)
     dw = Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
-    pw = Tensor(rng.standard_normal((1, 1, 2, 2)), requires_grad=True)
+    pw = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
     rep = grad_check(
-        lambda x, dw, pw: convops.depthwise_separable_conv(x, dw, pw, dilation=1),
-        [x, dw, pw],
+        lambda x, dw, pw, b: T.linear(convops.depthwise_conv2d(x, dw, dilation=2), pw, b),
+        [x, dw, pw, b],
     )
     assert rep.passed, rep
 
@@ -386,9 +399,10 @@ def test_forward_bit_identical_across_runs():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((6, 6, 3))
     w = rng.standard_normal((3, 3, 3, 4))
+    b = rng.standard_normal(4)
 
     def run():
-        out = convops.conv2d(Tensor(x.copy()), Tensor(w.copy()), dilation=2)
+        out = convops.conv2d(Tensor(x.copy()), Tensor(w.copy()), Tensor(b.copy()))
         return T.softmax(T.reshape(T.tsum(out, axis=2), (-1,)), scale=2.0).data
 
     np.testing.assert_array_equal(run(), run())

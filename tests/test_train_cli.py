@@ -150,13 +150,13 @@ def test_checkpoint_model_is_frozen_and_records_no_graph(tiny_data, tiny_ckpt):
     rec = load_manifest(os.path.join(tiny_data, "test.jsonl"))[0]
     phrases = vocab.encode_phrases(rec.phrases)
     frozen = model.forward(rec.load_image(), phrases)
-    assert frozen.probs.node is None
+    assert frozen.logits.node is None
 
     # the same model with grads re-enabled records a graph and the same map
     for p in model.parameters().values():
         p.requires_grad = True
     recorded = model.forward(rec.load_image(), phrases)
-    assert recorded.probs.node is not None
+    assert recorded.logits.node is not None
     np.testing.assert_array_equal(frozen.prob_map, recorded.prob_map)
 
 
@@ -241,6 +241,19 @@ def test_training_is_seed_deterministic(tmp_path, tiny_data):
     log1 = [json.loads(l) for l in open(r1.log_path)]
     log2 = [json.loads(l) for l in open(r2.log_path)]
     assert [l.get("loss") for l in log1] == [l.get("loss") for l in log2]
+
+
+def test_checkpoints_only_for_completed_epochs(tmp_path, tiny_data):
+    # 6 training records: epoch 0 completes, max_steps cuts epoch 1 short
+    result = train(_tiny_config(epochs=2, max_steps=8), tiny_data, tmp_path / "run")
+    assert result.steps == 8
+    files = sorted(os.listdir(tmp_path / "run"))
+    assert files == ["ckpt_epoch000.cbce", "model.cbce", "train_log.jsonl"]
+    assert result.epoch_checkpoints == [str(tmp_path / "run" / "ckpt_epoch000.cbce")]
+    contents = [(tmp_path / "run" / name).read_bytes() for name in files]
+    assert len(set(contents)) == len(files)
+    assert load_checkpoint(result.checkpoint_path).step == 8
+    assert load_checkpoint(result.epoch_checkpoints[0]).step == 6
 
 
 def test_training_writes_expected_log_lines(tmp_path, tiny_data):
@@ -357,6 +370,21 @@ def test_cli_gradcheck_smoke(capsys):
     assert main(["gradcheck", "--op", "matmul", "--op", "softmax", "--seeds", "3"]) == 0
     out = capsys.readouterr().out
     assert "matmul" in out and "softmax" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--seeds", "0"],
+    ["gradcheck", "--seeds", "-2"],
+    ["eval", "--ckpt", "x.cbce", "--data", "d", "--limit", "0"],
+    ["eval", "--ckpt", "x.cbce", "--data", "d", "--limit", "-1"],
+])
+def test_cli_rejects_counts_below_one(argv, capsys):
+    # --seeds 0 used to pass every op after checking nothing; --limit -1
+    # used to score all records but the last
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "at least 1" in captured.err
 
 
 def test_cbce_dtype_env_override(tmp_path, monkeypatch):
