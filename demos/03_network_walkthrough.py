@@ -21,7 +21,7 @@ print(f"phrases: {phrases}")
 
 pyramid = net.encoder.forward(Tensor(image))
 print("\nvisual pyramid (three backbone taps projected onto one grid):")
-for lvl, feat in sorted(pyramid.levels.items()):
+for lvl, feat in sorted(pyramid.items()):
     print(f"  level {lvl}: {feat.shape}")
 
 phrase_set = vocab.encode_phrases(phrases)

@@ -35,7 +35,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate the synthetic shape dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=0,
+    p.add_argument("--pairs", type=_positive_int, default=None,
                    help="also emit N two-object fixture images")
 
     p = sub.add_parser("train", help="train on a generated dataset")
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError, FileNotFoundError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, GraphConsumedError) as exc:

@@ -434,7 +434,7 @@ def _render(canvas: int, layers, rng) -> np.ndarray:
 RECORD_ATTEMPTS = 4
 
 
-def generate_record(cfg: SynthConfig, idx: int, bank: PhraseBank = DEFAULT_BANK):
+def generate_record(cfg: SynthConfig, idx: int):
     """One deterministic sample: (image, mask, affordance, phrases).
 
     The per-record generator stream is split from (seed, idx) so records
@@ -444,13 +444,13 @@ def generate_record(cfg: SynthConfig, idx: int, bank: PhraseBank = DEFAULT_BANK)
     for attempt in range(RECORD_ATTEMPTS):
         key = [cfg.seed, idx, attempt] if attempt else [cfg.seed, idx]
         try:
-            return _draw_record(cfg, idx, bank, np.random.default_rng(key))
+            return _draw_record(cfg, idx, np.random.default_rng(key))
         except PlacementError:
             if attempt == RECORD_ATTEMPTS - 1:
                 raise
 
 
-def _draw_record(cfg: SynthConfig, idx: int, bank: PhraseBank, rng):
+def _draw_record(cfg: SynthConfig, idx: int, rng):
     target_cls = cfg.classes[idx % len(cfg.classes)]
     occupied = np.zeros((cfg.size, cfg.size), dtype=bool)
     target_mask = _place_object(target_cls, occupied, cfg.target_scale, rng, cfg)
@@ -465,18 +465,18 @@ def _draw_record(cfg: SynthConfig, idx: int, bank: PhraseBank, rng):
         occupied |= mask
         layers.append((mask, cls_name))
     image = _render(cfg.size, layers, rng)
-    phrases = phrase_sample(bank, target_cls, cfg.n_phrases, rng)
+    phrases = phrase_sample(DEFAULT_BANK, target_cls, cfg.n_phrases, rng)
     return image, target_mask, target_cls, phrases
 
 
-def synth_generate(cfg: SynthConfig, out_dir, bank: PhraseBank = DEFAULT_BANK) -> list:
+def synth_generate(cfg: SynthConfig, out_dir) -> list:
     """Write images/, masks/, manifest.jsonl, train/test splits, vocab.txt."""
     out_dir = str(out_dir)
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "masks"), exist_ok=True)
     records = []
     for idx in range(cfg.samples):
-        image, mask, affordance, phrases = generate_record(cfg, idx, bank)
+        image, mask, affordance, phrases = generate_record(cfg, idx)
         rec_id = f"s{idx:05d}"
         image_path = os.path.join(out_dir, "images", f"{rec_id}.ppm")
         mask_path = os.path.join(out_dir, "masks", f"{rec_id}.pgm")
@@ -487,12 +487,11 @@ def synth_generate(cfg: SynthConfig, out_dir, bank: PhraseBank = DEFAULT_BANK) -
     train, test = split_records(records)
     save_manifest(train, os.path.join(out_dir, "train.jsonl"))
     save_manifest(test, os.path.join(out_dir, "test.jsonl"))
-    bank.vocabulary().save(os.path.join(out_dir, "vocab.txt"))
+    DEFAULT_BANK.vocabulary().save(os.path.join(out_dir, "vocab.txt"))
     return records
 
 
-def generate_pair_fixtures(cfg: SynthConfig, out_dir, count: int = 50,
-                           bank: PhraseBank = DEFAULT_BANK) -> list:
+def generate_pair_fixtures(cfg: SynthConfig, out_dir, count: int = 50) -> list:
     """Two-object scenes for phrase-conditioning checks.
 
     Each image holds objects of two different classes; two records share
@@ -518,7 +517,7 @@ def generate_pair_fixtures(cfg: SynthConfig, out_dir, count: int = 50,
             rec_id = f"p{idx:04d}{tag}"
             mask_path = os.path.join(out_dir, "masks", f"{rec_id}.pgm")
             write_pgm(mask_path, np.where(mask, 255, 0).astype(np.uint8))
-            phrases = phrase_sample(bank, cls_name, cfg.n_phrases, rng)
+            phrases = phrase_sample(DEFAULT_BANK, cls_name, cfg.n_phrases, rng)
             records.append(ManifestRecord(rec_id, image_path, mask_path, cls_name, phrases))
     save_manifest(records, os.path.join(out_dir, "pairs.jsonl"))
     return records

@@ -109,24 +109,6 @@ class PhraseSet:
         return self.ids.shape[0]
 
 
-@dataclass
-class FeaturePyramid:
-    """Same-size feature maps tapped from three backbone stages."""
-
-    levels: dict  # {3, 4, 5} -> Tensor (H, W, C)
-
-    def __post_init__(self):
-        shapes = {lvl: t.shape for lvl, t in self.levels.items()}
-        if sorted(self.levels) != [3, 4, 5]:
-            raise ValueError(f"pyramid must hold levels 3,4,5, got {sorted(self.levels)}")
-        if len(set(shapes.values())) != 1:
-            raise ValueError(f"pyramid levels disagree on shape: {shapes}")
-
-    @property
-    def shape(self):
-        return self.levels[3].shape
-
-
 class VisualEncoder:
     """Five stages of 3x3 conv + ReLU + 2x2 mean pooling, tapping stages
     3..5 through per-level 1x1 projections onto a common grid."""
@@ -164,7 +146,8 @@ class VisualEncoder:
     def min_input_size(self) -> int:
         return 2 ** len(self.stages)
 
-    def forward(self, image: Tensor) -> FeaturePyramid:
+    def forward(self, image: Tensor) -> dict:
+        """{3, 4, 5} -> (feat_h, feat_w, c_out) maps tapped from those stages."""
         if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError(f"expected an (H, W, 3) image, got {image.shape}")
         if min(image.shape[:2]) < self.min_input_size():
@@ -178,7 +161,7 @@ class VisualEncoder:
             if idx in TAPS:
                 feat = linear(x, *self.proj[idx])
                 levels[idx] = bilinear_upsample(feat, self.feat_h, self.feat_w)
-        return FeaturePyramid(levels=levels)
+        return levels
 
     def parameters(self):
         for i, (w, b) in enumerate(self.stages, start=1):

@@ -73,16 +73,17 @@ class BilinearFusion:
             yield name, getattr(self, name)
 
 
-def build_initial_fused(pyramid, lang: Tensor, fusers: dict) -> dict:
+def build_initial_fused(pyramid: dict, lang: Tensor, fusers: dict) -> dict:
     """Per level: concat(bilinear_fuse(I_i, L0), coordinate grid).
 
-    Returns {3, 4, 5} -> (H, W, C_f + 8); the last 8 channels are the
-    coordinate grid, identical across levels. ``FeaturePyramid`` guarantees
-    the levels share one shape.
+    ``pyramid`` maps {3, 4, 5} to same-shape (H, W, C_i) maps, as
+    ``VisualEncoder.forward`` builds them. Returns {3, 4, 5} ->
+    (H, W, C_f + 8); the last 8 channels are the coordinate grid,
+    identical across levels.
     """
-    h, w, _ = pyramid.shape
+    h, w, _ = pyramid[3].shape
     grid = Tensor(spatial_coords(h, w, dtype=lang.dtype))
     return {
-        i: concat([fusers[i].forward(pyramid.levels[i], lang), grid], axis=2)
-        for i in sorted(pyramid.levels)
+        i: concat([fusers[i].forward(pyramid[i], lang), grid], axis=2)
+        for i in sorted(pyramid)
     }

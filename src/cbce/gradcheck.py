@@ -272,10 +272,8 @@ def micro_pipeline_entry():
 def run_suite(
     seeds=range(20),
     ops=None,
-    h: float = 1e-4,
     tol: float = 1e-4,
     include_pipeline: bool = True,
-    pipeline_coords: int = 6,
 ) -> list[GradCheckReport]:
     """Run the randomized gradient suite; one report per (op, worst seed)."""
     suite = standard_op_suite()
@@ -292,9 +290,9 @@ def run_suite(
         for seed in seeds:
             rng = np.random.default_rng([seed, 1234])
             fn, inputs = builder(rng)
-            coords = pipeline_coords if name == "vlm_lvm_aspp_bce" else None
+            coords = 6 if name == "vlm_lvm_aspp_bce" else None  # per input tensor
             rep = grad_check(
-                fn, inputs, h=h, tol=tol, rng=rng, max_coords_per_tensor=coords, label=name
+                fn, inputs, tol=tol, rng=rng, max_coords_per_tensor=coords, label=name
             )
             worst.checked += rep.checked
             if rep.max_rel_error > worst.max_rel_error:

@@ -113,12 +113,6 @@ class CbceNet:
             out[f"head.{name}"] = t
         return out
 
-    def trainable_parameters(self, freeze_backbone: bool = False) -> dict:
-        params = self.parameters()
-        if freeze_backbone:
-            params = {k: v for k, v in params.items() if not k.startswith("encoder.stage")}
-        return params
-
     def load_state(self, arrays: dict) -> None:
         """Copy name -> array into the parameter buffers, shape-checked.
 

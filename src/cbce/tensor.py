@@ -15,9 +15,9 @@ their rules newest first; each node records that it ran, so a second
 pass over the same recording raises ``GraphConsumedError``.
 
 Every forward result is checked for NaN/Inf and fails fast naming the
-producing operation. A node holds its output only weakly, so a graph has
-no reference cycle: it lives exactly as long as its loss tensor and is
-freed by reference counting.
+producing operation. A node keeps only the id of its output, never the
+output itself, so a graph has no reference cycle: it lives exactly as
+long as its loss tensor and is freed by reference counting.
 
 An op records a node only when one of its inputs requires grad, so a
 forward pass over parameters with ``requires_grad = False`` records
@@ -28,7 +28,6 @@ parameters).
 from __future__ import annotations
 
 import itertools
-import weakref
 
 import numpy as np
 
@@ -52,22 +51,17 @@ _node_seq = itertools.count()
 
 
 class Node:
-    """One recorded operation: kind, inputs, weak output ref, backward rule."""
+    """One recorded operation: kind, inputs, output id, backward rule."""
 
-    __slots__ = ("op", "inputs", "_output", "output_id", "backward_fn", "seq", "consumed")
+    __slots__ = ("op", "inputs", "output_id", "backward_fn", "seq", "consumed")
 
     def __init__(self, op, inputs, output, backward_fn):
         self.op = op
         self.inputs = inputs
-        self._output = weakref.ref(output)
         self.output_id = id(output)
         self.backward_fn = backward_fn
         self.seq = next(_node_seq)
         self.consumed = False
-
-    @property
-    def output(self):  # None once the tensor has been freed
-        return self._output()
 
     def __repr__(self):
         return f"Node({self.op}, seq={self.seq})"
@@ -83,14 +77,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in FLOAT_DTYPES:
-            arr = arr.astype(DEFAULT_DTYPE)
         if arr.dtype not in FLOAT_DTYPES:
-            raise TypeError(f"unsupported dtype {arr.dtype}; use float32 or float64")
+            arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -299,15 +289,14 @@ def concat(tensors, axis: int) -> Tensor:
     return record_op("concat", out, tuple(tensors), bwd)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
     shape = a.data.shape
 
     def bwd(g):
         if axis is None:
             return (np.broadcast_to(g, shape).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return record_op("sum", out, (a,), bwd)
 

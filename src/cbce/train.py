@@ -4,9 +4,9 @@ One sample per step: draw a record in seeded shuffled order, crop/flip,
 run the network, backpropagate the summed cross entropy, and apply Adam
 under the polynomial schedule. Every random stream is keyed off the
 config seed plus a purpose tag, so identical configs give identical loss
-traces. A checkpoint is written per completed epoch and one for the
-final state (an epoch cut short by ``max_steps`` has only that one);
-each is self-contained.
+traces. A checkpoint is written for the final state and for every
+completed epoch that does not end the run (the final one holds that
+state); each is self-contained.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datakit import SynthConfig, augment, load_manifest, read_ppm, write_pgm
 from .encoders import Vocabulary
-from .metrics import MetricReport, evaluate_dataset
+from .metrics import MetricReport, _binarize, evaluate_dataset
 from .model import CbceNet, ModelConfig
 from .optim import AdamState, adam_step, poly_lr
 from .tensor import NumericError, backward
@@ -37,8 +37,6 @@ class TrainConfig:
     batch_size: int = 1
     crop_size: int | None = 71
     max_steps: int | None = None
-    freeze_backbone: bool = False
-    checkpoint_every_epoch: bool = True
     model: ModelConfig = field(default_factory=ModelConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
@@ -48,8 +46,7 @@ class TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    """Read the sectioned JSON config ({seed, train, model, synth}); a set
-    ``CBCE_DTYPE`` (float32 or float64) replaces the model dtype."""
+    """Read the sectioned JSON config ({seed, train, model, synth})."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     seed = raw.get("seed", 7)
@@ -64,13 +61,7 @@ def load_config(path) -> TrainConfig:
     unknown = sorted(set(train_section) - allowed)
     if unknown:
         raise ValueError(f"unknown train config key(s): {', '.join(unknown)}")
-    cfg = TrainConfig(seed=seed, model=model, synth=synth, **train_section)
-    override = os.environ.get("CBCE_DTYPE")
-    if override:
-        if override not in ("float32", "float64"):
-            raise ValueError(f"CBCE_DTYPE must be float32 or float64, got {override!r}")
-        cfg.model.dtype = override
-    return cfg
+    return TrainConfig(seed=seed, model=model, synth=synth, **train_section)
 
 
 @dataclass
@@ -139,8 +130,8 @@ def model_from_checkpoint(ckpt: Checkpoint):
 
 def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
     """Run the loop over data_dir/{train.jsonl,vocab.txt}; write logs, a
-    checkpoint per completed epoch and the final ``model.cbce`` under
-    out_dir. Aborts on a non-finite loss with the offending step in the
+    checkpoint per completed epoch before the last step and the final
+    ``model.cbce`` under out_dir. Aborts on a non-finite loss with the offending step in the
     message."""
     data_dir, out_dir = str(data_dir), str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -151,10 +142,7 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
     samples = _load_samples(records, vocab, cfg.model.n_phrases)
 
     model = CbceNet(cfg.model, len(vocab), rng=np.random.default_rng([cfg.seed, 0]))
-    params = model.trainable_parameters(cfg.freeze_backbone)
-    for name, p in model.parameters().items():
-        if name not in params:
-            p.requires_grad = False  # frozen: records no nodes and gets no gradient
+    params = model.parameters()
     state = AdamState.for_params(params)
     max_steps = cfg.epochs * len(samples)
     if cfg.max_steps is not None:
@@ -198,7 +186,8 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
                 losses.append(value)
                 emit({"step": step, "lr": lr, "loss": value})
                 step += 1
-            if cfg.checkpoint_every_epoch and len(order) == len(samples):
+            # an epoch that ends the run is saved once, as model.cbce
+            if step < max_steps:
                 path = os.path.join(out_dir, f"ckpt_epoch{epoch:03d}.cbce")
                 save_checkpoint(path, _checkpoint_from(model, cfg, vocab, state, step))
                 epoch_ckpts.append(path)
@@ -268,7 +257,7 @@ def infer(ckpt_path, image_path, phrases, out_prefix, threshold: float = 0.5):
     image = read_ppm(image_path).astype(np.float64) / 255.0
     pred = model.forward(image, vocab.encode_phrases(phrases))
     probs = pred.prob_map
-    mask = probs >= threshold
+    mask = _binarize(probs, threshold)
     write_pgm(f"{out_prefix}_mask.pgm", np.where(mask, 255, 0).astype(np.uint8))
     np.save(f"{out_prefix}_probs.npy", probs)
     stats = {

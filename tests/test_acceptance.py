@@ -255,7 +255,6 @@ def test_criterion_7_determinism_and_persistence(toy_cfg, toy_data, tmp_path_fac
     # identical seeds, identical loss traces
     cfg = load_config(CONFIG_PATH)
     cfg.max_steps = 40
-    cfg.checkpoint_every_epoch = False
     run_a = train(cfg, toy_data, tmp_path_factory.mktemp("det_a"))
     run_b = train(cfg, toy_data, tmp_path_factory.mktemp("det_b"))
     traces_ok = run_a.losses == run_b.losses

@@ -163,7 +163,7 @@ def test_unplaceable_record_is_redrawn(monkeypatch):
 
     monkeypatch.setattr(datakit, "_place_object", logged)
     with pytest.raises(datakit.PlacementError):
-        datakit._draw_record(cfg, 118, DEFAULT_BANK, np.random.default_rng([cfg.seed, 118]))
+        datakit._draw_record(cfg, 118, np.random.default_rng([cfg.seed, 118]))
     calls.clear()
     record = generate_record(cfg, 118)
     image, mask, affordance, phrases = record

@@ -27,9 +27,9 @@ def test_pyramid_shape_contract_toy_config():
     enc = VisualEncoder(c_out=32, feat_h=10, feat_w=10, rng=np.random.default_rng(0))
     img = Tensor(np.random.default_rng(1).random((80, 80, 3)))
     pyr = enc.forward(img)
-    assert sorted(pyr.levels) == [3, 4, 5]
+    assert sorted(pyr) == [3, 4, 5]
     for lvl in (3, 4, 5):
-        assert pyr.levels[lvl].shape == (10, 10, 32)
+        assert pyr[lvl].shape == (10, 10, 32)
 
 
 def test_pyramid_differs_for_different_images():
@@ -37,7 +37,7 @@ def test_pyramid_differs_for_different_images():
     rng = np.random.default_rng(3)
     a = enc.forward(Tensor(rng.random((80, 80, 3))))
     b = enc.forward(Tensor(rng.random((80, 80, 3))))
-    assert not np.allclose(a.levels[5].data, b.levels[5].data)
+    assert not np.allclose(a[5].data, b[5].data)
 
 
 def test_image_below_total_stride_rejected():
@@ -54,13 +54,13 @@ def test_gradient_reaches_first_stage_from_level5_loss():
     img = Tensor(np.random.default_rng(6).random((32, 32, 3)), requires_grad=True)
     params = dict(enc.parameters())
     rep = grad_check(
-        lambda *_: tsum(enc.forward(img).levels[5]),
+        lambda *_: tsum(enc.forward(img)[5]),
         [img, params["stage1.w"], params["stage1.b"]],
         max_coords_per_tensor=6,
         rng=np.random.default_rng(7),
     )
     assert rep.passed, rep
-    backward(tsum(enc.forward(img).levels[5]))
+    backward(tsum(enc.forward(img)[5]))
     assert np.any(params["stage1.w"].grad)
 
 

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from cbce.encoders import FeaturePyramid
 from cbce.fusion import BilinearFusion, build_initial_fused, spatial_coords
 from cbce.gradcheck import grad_check
 from cbce.tensor import Tensor
@@ -95,9 +94,7 @@ def test_fusion_gradients_micro():
 
 def _toy_setup(seed=8):
     rng = np.random.default_rng(seed)
-    pyr = FeaturePyramid(levels={
-        i: Tensor(rng.standard_normal((10, 10, 32))) for i in (3, 4, 5)
-    })
+    pyr = {i: Tensor(rng.standard_normal((10, 10, 32))) for i in (3, 4, 5)}
     fusers = {
         i: BilinearFusion(c_i=32, c_l=16, c_f=32, rank=4, rng=rng) for i in (3, 4, 5)
     }

@@ -338,14 +338,14 @@ def test_graph_is_freed_with_its_loss():
     try:
         mid = T.mul(x, 2.0)
         loss = T.tsum(T.tanh(mid))
-        ref, node = weakref.ref(mid), mid.node
+        ref = weakref.ref(mid)
         del mid
-        assert node.output is ref() is not None  # the loss keeps its graph alive
+        assert ref() is not None  # the loss keeps its graph alive
         backward(loss)
         with pytest.raises(GraphConsumedError):
             backward(loss)
         del loss
-        assert ref() is None and node.output is None
+        assert ref() is None
     finally:
         gc.enable()
     np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0) ** 2))

@@ -244,16 +244,19 @@ def test_training_is_seed_deterministic(tmp_path, tiny_data):
 
 
 def test_checkpoints_only_for_completed_epochs(tmp_path, tiny_data):
-    # 6 training records: epoch 0 completes, max_steps cuts epoch 1 short
-    result = train(_tiny_config(epochs=2, max_steps=8), tiny_data, tmp_path / "run")
-    assert result.steps == 8
-    files = sorted(os.listdir(tmp_path / "run"))
-    assert files == ["ckpt_epoch000.cbce", "model.cbce", "train_log.jsonl"]
-    assert result.epoch_checkpoints == [str(tmp_path / "run" / "ckpt_epoch000.cbce")]
-    contents = [(tmp_path / "run" / name).read_bytes() for name in files]
-    assert len(set(contents)) == len(files)
-    assert load_checkpoint(result.checkpoint_path).step == 8
-    assert load_checkpoint(result.epoch_checkpoints[0]).step == 6
+    # 6 training records: epoch 0 completes; max_steps=8 cuts epoch 1 short,
+    # and without it epoch 1 completes the run, whose state model.cbce holds
+    for max_steps, steps in ((8, 8), (None, 12)):
+        run = tmp_path / f"run{steps}"
+        result = train(_tiny_config(epochs=2, max_steps=max_steps), tiny_data, run)
+        assert result.steps == steps
+        files = sorted(os.listdir(run))
+        assert files == ["ckpt_epoch000.cbce", "model.cbce", "train_log.jsonl"]
+        assert result.epoch_checkpoints == [str(run / "ckpt_epoch000.cbce")]
+        contents = [(run / name).read_bytes() for name in files]
+        assert len(set(contents)) == len(files)
+        assert load_checkpoint(result.checkpoint_path).step == steps
+        assert load_checkpoint(result.epoch_checkpoints[0]).step == 6
 
 
 def test_training_writes_expected_log_lines(tmp_path, tiny_data):
@@ -355,6 +358,40 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_checkpoint_path_that_is_a_directory(tmp_path, capsys):
+    # reading a directory raises IsADirectoryError, an OSError but not a
+    # FileNotFoundError; it used to escape main as a traceback
+    assert main(["eval", "--ckpt", str(tmp_path), "--data", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_cli_infer_rejects_threshold_outside_unit_interval(tmp_path, tiny_data, tiny_ckpt,
+                                                           capsys):
+    # infer binarizes like eval: 1.5 used to write an all-background mask
+    rec = load_manifest(os.path.join(tiny_data, "test.jsonl"))[0]
+    out = tmp_path / "inf"
+    assert main(["infer", "--ckpt", tiny_ckpt, "--image", rec.image_path,
+                 "--phrase", rec.phrases[0], "--out", str(out), "--threshold", "1.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threshold must lie in (0, 1)" in err
+    assert not os.path.exists(f"{out}_mask.pgm")
+
+
+@pytest.mark.parametrize("path", ["configs/toy.json", "configs/full_scale.json",
+                                  "bench/configs/mid.json"])
+def test_shipped_configs_load(path):
+    # a removed config field that a shipped config still sets fails here
+    # first, not in the benchmark
+    full = os.path.join(os.path.dirname(__file__), "..", path)
+    with open(full, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    cfg = load_config(full)
+    assert cfg.model.dtype == raw["model"]["dtype"]
+    for key, value in raw["train"].items():
+        assert getattr(cfg, key) == value
+
+
 @pytest.mark.parametrize("section,key", [("model", "c_vv"), ("train", "epoch"),
                                          ("train", "seed"), ("synth", "sizes")])
 def test_cli_unknown_config_key_is_a_validation_error(tmp_path, capsys, section, key):
@@ -377,24 +414,16 @@ def test_cli_gradcheck_smoke(capsys):
     ["gradcheck", "--seeds", "-2"],
     ["eval", "--ckpt", "x.cbce", "--data", "d", "--limit", "0"],
     ["eval", "--ckpt", "x.cbce", "--data", "d", "--limit", "-1"],
+    ["synth", "--config", "c.json", "--out", "d", "--pairs", "-1"],
 ])
 def test_cli_rejects_counts_below_one(argv, capsys):
     # --seeds 0 used to pass every op after checking nothing; --limit -1
-    # used to score all records but the last
+    # used to score all records but the last; --pairs -1 wrote an empty
+    # pairs.jsonl
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "at least 1" in captured.err
-
-
-def test_cbce_dtype_env_override(tmp_path, monkeypatch):
-    cfg_path = _write_cli_config(tmp_path)
-    monkeypatch.setenv("CBCE_DTYPE", "float64")
-    cfg = load_config(cfg_path)
-    assert cfg.model.dtype == "float64"
-    monkeypatch.setenv("CBCE_DTYPE", "bogus")
-    with pytest.raises(ValueError, match="CBCE_DTYPE"):
-        load_config(cfg_path)
 
 
 def test_toy_300_steps_halves_smoothed_loss(tmp_path):
@@ -402,57 +431,10 @@ def test_toy_300_steps_halves_smoothed_loss(tmp_path):
     # to half its starting level within 300 steps
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json"))
     cfg.max_steps = 300
-    cfg.checkpoint_every_epoch = False
     synth_generate(cfg.synth, tmp_path / "data")
     result = train(cfg, tmp_path / "data", tmp_path / "run")
     head, tail = smoothed(result.losses)
     assert tail <= 0.5 * head, (head, tail)
-
-
-def _stage_params(model):
-    return {k: t for k, t in model.parameters().items() if k.startswith("encoder.stage")}
-
-
-def test_freeze_backbone_keeps_stage_weights(tmp_path, tiny_data, monkeypatch):
-    import cbce.train as train_mod
-
-    models = []
-
-    class Recorded(CbceNet):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            models.append(self)
-
-    monkeypatch.setattr(train_mod, "CbceNet", Recorded)
-    cfg = _tiny_config(max_steps=3, freeze_backbone=True)
-    result = train(cfg, tiny_data, tmp_path / "run")
-    trained = load_checkpoint(result.checkpoint_path).params
-    vocab_size = trained["phrases.embedding"].shape[0]
-    reference = CbceNet(cfg.model, vocab_size, rng=np.random.default_rng([cfg.seed, 0]))
-    ref_params = {k: t.data for k, t in reference.parameters().items()}
-    for name in trained:
-        if name.startswith("encoder.stage"):
-            np.testing.assert_array_equal(trained[name], ref_params[name])
-    assert not np.array_equal(trained["head.mask.w"], ref_params["head.mask.w"])
-    # frozen stages record no nodes, so backward gives them no gradient
-    frozen = _stage_params(models[0])
-    assert frozen and all(not t.requires_grad and t.grad is None for t in frozen.values())
-
-    # a run whose stages still require grad (and so backpropagate into
-    # them) trains the other parameters bit for bit the same
-    loss = CbceNet.loss
-
-    def loss_with_stage_grads(self, *args):
-        for t in _stage_params(self).values():
-            t.requires_grad = True
-        return loss(self, *args)
-
-    monkeypatch.setattr(CbceNet, "loss", loss_with_stage_grads)
-    graded = train(cfg, tiny_data, tmp_path / "graded")
-    assert graded.losses == result.losses
-    assert all(t.grad is not None for t in _stage_params(models[1]).values())
-    for name, arr in load_checkpoint(graded.checkpoint_path).params.items():
-        np.testing.assert_array_equal(arr, trained[name])
 
 
 def test_load_state_copies_into_existing_buffers(tiny_ckpt):
