@@ -34,7 +34,7 @@ print(f"fused maps: {[t.shape for t in fused.values()]} "
 
 state = net.cim.forward(lang, fused, cycles=cfg.cycles)
 print(f"\nafter {state.rounds_done} interaction rounds:")
-for lvl in (3, 4, 5):
+for lvl in sorted(state.lang):
     print(f"  level {lvl}: language norm {np.linalg.norm(state.lang[lvl].data):.6f} "
           f"(unit by construction), fused {state.fused[lvl].shape}")
 
@@ -42,7 +42,7 @@ out, attn = net.cim.vlm[3][0].forward(lang, fused[3], return_attention=True)
 print(f"\nround-1 attention over level 3: {attn.shape[0]} positions, "
       f"sum {attn.data.sum():.6f}, max {attn.data.max():.4f}")
 
-pred = net.head.forward(state.fused[3], state.fused[4], state.fused[5], image.shape[:2])
+pred = net.head.forward(state.fused, image.shape[:2])
 loss = bce_loss(pred, mask.astype(np.float64))
 print(f"\nmask prediction {pred.prob_map.shape}, untrained loss {loss.item():.1f} "
       f"(uniform-guess level is {mask.size * np.log(2):.1f})")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import init
+from .encoders import TAPS
 from .tensor import (
     Tensor,
     add,
@@ -27,8 +28,6 @@ from .tensor import (
     sigmoid,
     softmax,
 )
-
-LEVELS = (3, 4, 5)
 
 
 @dataclass
@@ -49,14 +48,13 @@ class Vlm:
     language vector through a 1x1 projection plus L2 normalization.
     """
 
-    def __init__(self, c_l: int, c_v: int, rng=None, dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
-        self.w_theta = init.glorot(rng, (c_l, c_v), c_l, c_v, dtype)
-        self.b_theta = init.zeros((c_v,), dtype)
-        self.w_phi = init.glorot(rng, (c_v, c_v), c_v, c_v, dtype)
-        self.b_phi = init.zeros((c_v,), dtype)
-        self.w_out = init.glorot(rng, (c_l + c_v, c_l), c_l + c_v, c_l, dtype)
-        self.b_out = init.zeros((c_l,), dtype)
+    def __init__(self, c_l: int, c_v: int, rng: np.random.Generator):
+        self.w_theta = init.glorot(rng, (c_l, c_v), c_l, c_v)
+        self.b_theta = init.zeros((c_v,))
+        self.w_phi = init.glorot(rng, (c_v, c_v), c_v, c_v)
+        self.b_phi = init.zeros((c_v,))
+        self.w_out = init.glorot(rng, (c_l + c_v, c_l), c_l + c_v, c_l)
+        self.b_out = init.zeros((c_l,))
 
     def forward(self, lang: Tensor, fused: Tensor, return_attention: bool = False):
         h, w, c_v = fused.shape
@@ -85,12 +83,11 @@ class Lvm:
     per-channel sigmoid broadcast over all spatial positions.
     """
 
-    def __init__(self, target: int, c_l: int, c_v: int, rng=None, dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, target: int, c_l: int, c_v: int, rng: np.random.Generator):
         self.target = target
-        self.sources = tuple(l for l in LEVELS if l != target)
+        self.sources = tuple(l for l in TAPS if l != target)
         self.gates = {
-            src: (init.glorot(rng, (c_l, c_v), c_l, c_v, dtype), init.zeros((c_v,), dtype))
+            src: (init.glorot(rng, (c_l, c_v), c_l, c_v), init.zeros((c_v,)))
             for src in self.sources
         }
 
@@ -120,18 +117,17 @@ class Cim:
     """The full schedule: ``rounds`` bilateral updates per cycle, with
     unshared parameters per (level, round); cycles reuse them."""
 
-    def __init__(self, c_l: int, c_v: int, rounds: int = 2, rng=None, dtype=np.float64):
+    def __init__(self, c_l: int, c_v: int, rounds: int, rng: np.random.Generator):
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
-        rng = rng or np.random.default_rng(0)
         self.rounds = rounds
         self.vlm = {
-            i: [Vlm(c_l, c_v, rng=rng, dtype=dtype) for _ in range(rounds)]
-            for i in LEVELS
+            i: [Vlm(c_l, c_v, rng=rng) for _ in range(rounds)]
+            for i in TAPS
         }
         self.lvm = {
-            i: [Lvm(i, c_l, c_v, rng=rng, dtype=dtype) for _ in range(rounds)]
-            for i in LEVELS
+            i: [Lvm(i, c_l, c_v, rng=rng) for _ in range(rounds)]
+            for i in TAPS
         }
 
     def forward(self, lang0: Tensor, fused0: dict, cycles: int = 1) -> CimState:
@@ -139,19 +135,19 @@ class Cim:
         independently; cycle n+1 consumes cycle n's outputs."""
         if cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {cycles}")
-        if sorted(fused0) != list(LEVELS):
-            raise ValueError(f"fused maps must cover levels {LEVELS}, got {sorted(fused0)}")
-        lang = {i: lang0 for i in LEVELS}
+        if sorted(fused0) != list(TAPS):
+            raise ValueError(f"fused maps must cover levels {TAPS}, got {sorted(fused0)}")
+        lang = {i: lang0 for i in TAPS}
         fused = dict(fused0)
         for _ in range(cycles):
             for m in range(self.rounds):
-                new_lang = {i: self.vlm[i][m].forward(lang[i], fused[i]) for i in LEVELS}
-                new_fused = {i: self.lvm[i][m].forward(new_lang[i], fused) for i in LEVELS}
+                new_lang = {i: self.vlm[i][m].forward(lang[i], fused[i]) for i in TAPS}
+                new_fused = {i: self.lvm[i][m].forward(new_lang[i], fused) for i in TAPS}
                 lang, fused = new_lang, new_fused
         return CimState(lang=lang, fused=fused, rounds_done=cycles * self.rounds)
 
     def parameters(self):
-        for i in LEVELS:
+        for i in TAPS:
             for m in range(self.rounds):
                 for name, t in self.vlm[i][m].parameters():
                     yield f"vlm{i}.r{m}.{name}", t

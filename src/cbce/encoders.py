@@ -113,41 +113,32 @@ class VisualEncoder:
     """Five stages of 3x3 conv + ReLU + 2x2 mean pooling, tapping stages
     3..5 through per-level 1x1 projections onto a common grid."""
 
-    def __init__(
-        self,
-        stage_channels=(8, 16, 32, 32, 32),
-        c_out: int = 32,
-        feat_h: int = 10,
-        feat_w: int = 10,
-        rng: np.random.Generator | None = None,
-        dtype=np.float64,
-    ):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, stage_channels, c_out: int, feat_h: int, feat_w: int,
+                 rng: np.random.Generator):
         if len(stage_channels) < max(TAPS):
             raise ValueError(f"the pyramid taps stages {TAPS}; need at least {max(TAPS)} stages")
         self.feat_h, self.feat_w = feat_h, feat_w
-        self.dtype = dtype
         self.stages = []
         prev = 3
         for c in stage_channels:
-            w = init.he(rng, (3, 3, prev, c), 9 * prev, dtype)
+            w = init.he(rng, (3, 3, prev, c), 9 * prev)
             # small positive bias keeps deep-stage ReLUs alive at init
-            b = init.constant((c,), 0.1, dtype)
+            b = init.constant((c,), 0.1)
             self.stages.append((w, b))
             prev = c
         self.proj = {}
         for lvl in TAPS:
             c_in = stage_channels[lvl - 1]
             self.proj[lvl] = (
-                init.glorot(rng, (c_in, c_out), c_in, c_out, dtype),
-                init.zeros((c_out,), dtype),
+                init.glorot(rng, (c_in, c_out), c_in, c_out),
+                init.zeros((c_out,)),
             )
 
     def min_input_size(self) -> int:
         return 2 ** len(self.stages)
 
     def forward(self, image: Tensor) -> dict:
-        """{3, 4, 5} -> (feat_h, feat_w, c_out) maps tapped from those stages."""
+        """Level in ``TAPS`` -> (feat_h, feat_w, c_out) map tapped from that stage."""
         if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError(f"expected an (H, W, 3) image, got {image.shape}")
         if min(image.shape[:2]) < self.min_input_size():
@@ -180,17 +171,14 @@ class PhraseEncoder:
 
     GATES = ("i", "f", "g", "o")
 
-    def __init__(self, vocab_size: int, c_l: int = 32, rng=None, dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
-        self.c_l = c_l
-        self.dtype = dtype
-        self.embedding = init.uniform(rng, (vocab_size, c_l), 0.08, dtype)
+    def __init__(self, vocab_size: int, c_l: int, rng: np.random.Generator):
+        self.embedding = init.uniform(rng, (vocab_size, c_l), 0.08)
         self.wx, self.wh, self.b = {}, {}, {}
         for gate in self.GATES:
-            self.wx[gate] = init.glorot(rng, (c_l, c_l), c_l, c_l, dtype)
-            self.wh[gate] = init.glorot(rng, (c_l, c_l), c_l, c_l, dtype)
+            self.wx[gate] = init.glorot(rng, (c_l, c_l), c_l, c_l)
+            self.wh[gate] = init.glorot(rng, (c_l, c_l), c_l, c_l)
             # forget gate starts open so early gradients reach the embedding
-            self.b[gate] = init.constant((c_l,), 1.0 if gate == "f" else 0.0, dtype)
+            self.b[gate] = init.constant((c_l,), 1.0 if gate == "f" else 0.0)
 
     def forward(self, phrases: PhraseSet) -> Tensor:
         if phrases.vocab_size != self.embedding.shape[0]:

@@ -51,14 +51,13 @@ class BilinearFusion:
     """Rank-R Hadamard bilinear pooling of one visual level with the
     language vector, applied position-wise with shared parameters."""
 
-    def __init__(self, c_i: int, c_l: int, c_f: int, rank: int = 16, rng=None, dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
-        self.wv = init.glorot(rng, (c_i, rank), c_i, rank, dtype)
-        self.bv = init.zeros((rank,), dtype)
-        self.wl = init.glorot(rng, (c_l, rank), c_l, rank, dtype)
-        self.bl = init.zeros((rank,), dtype)
-        self.wo = init.glorot(rng, (rank, c_f), rank, c_f, dtype)
-        self.bo = init.zeros((c_f,), dtype)
+    def __init__(self, c_i: int, c_l: int, c_f: int, rank: int, rng: np.random.Generator):
+        self.wv = init.glorot(rng, (c_i, rank), c_i, rank)
+        self.bv = init.zeros((rank,))
+        self.wl = init.glorot(rng, (c_l, rank), c_l, rank)
+        self.bl = init.zeros((rank,))
+        self.wo = init.glorot(rng, (rank, c_f), rank, c_f)
+        self.bo = init.zeros((c_f,))
 
     def forward(self, visual: Tensor, lang: Tensor) -> Tensor:
         h, w, c_i = visual.shape
@@ -76,12 +75,12 @@ class BilinearFusion:
 def build_initial_fused(pyramid: dict, lang: Tensor, fusers: dict) -> dict:
     """Per level: concat(bilinear_fuse(I_i, L0), coordinate grid).
 
-    ``pyramid`` maps {3, 4, 5} to same-shape (H, W, C_i) maps, as
-    ``VisualEncoder.forward`` builds them. Returns {3, 4, 5} ->
-    (H, W, C_f + 8); the last 8 channels are the coordinate grid,
-    identical across levels.
+    ``pyramid`` maps the levels ``TAPS`` to same-shape (H, W, C_i) maps,
+    as ``VisualEncoder.forward`` builds them. Returns level -> (H, W,
+    C_f + 8); the last 8 channels are the coordinate grid, identical
+    across levels.
     """
-    h, w, _ = pyramid[3].shape
+    h, w, _ = next(iter(pyramid.values())).shape
     grid = Tensor(spatial_coords(h, w, dtype=lang.dtype))
     return {
         i: concat([fusers[i].forward(pyramid[i], lang), grid], axis=2)

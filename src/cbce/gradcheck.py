@@ -37,7 +37,7 @@ def grad_check(
     inputs,
     h: float = 1e-4,
     tol: float = 1e-4,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | int = 0,
     max_coords_per_tensor: int | None = None,
     label: str = "",
 ) -> GradCheckReport:
@@ -50,7 +50,7 @@ def grad_check(
     relative error reported is the max over everything checked.
     """
     inputs = list(inputs)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(rng)
 
     first = f(*inputs)
     second = f(*inputs)
@@ -247,21 +247,21 @@ def micro_pipeline_entry():
     entropy. Every parameter is a checked input.
     """
     from .cim import Cim
+    from .encoders import TAPS
     from .seghead import SegHead
 
     def build(rng):
         h = w = 2
         c_v, c_l, c_a = 3, 3, 2
-        feats = {i: _rt(rng, h, w, c_v, scale=0.5) for i in (3, 4, 5)}
+        feats = {i: _rt(rng, h, w, c_v, scale=0.5) for i in TAPS}
         lang = _rt(rng, c_l, scale=0.5)
         cim = Cim(c_l, c_v, rounds=1, rng=rng)
-        head = SegHead(3 * c_v, c_a, rng=rng)
+        head = SegHead(len(TAPS) * c_v, c_a, rng=rng)
         target = (rng.random((2 * h, 2 * w)) > 0.5).astype(np.float64)
         params = [t for mod in (cim, head) for _, t in mod.parameters()]
 
         def fn(*_):
-            fused = cim.forward(lang, feats).fused
-            pred = head.forward(fused[3], fused[4], fused[5], (2 * h, 2 * w))
+            pred = head.forward(cim.forward(lang, feats).fused, (2 * h, 2 * w))
             return T.bce_with_logits_sum(pred.logits, target)
 
         return fn, [lang, *feats.values(), *params]

@@ -32,9 +32,18 @@ def _check_pair(pred, gt):
     return pred, gt
 
 
-def _binarize(pred: np.ndarray, threshold: float) -> np.ndarray:
+def check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+
+
+def check_beta_sq(beta_sq: float) -> None:
+    if not beta_sq > 0:
+        raise ValueError(f"beta_sq must be positive, got {beta_sq}")
+
+
+def _binarize(pred: np.ndarray, threshold: float) -> np.ndarray:
+    check_threshold(threshold)
     return pred >= threshold
 
 
@@ -54,8 +63,7 @@ def f_measure(pred, gt, threshold: float = 0.5, beta_sq: float = 0.3) -> float:
 
     Both masks empty -> 1.0; no true positives otherwise -> 0.0.
     """
-    if beta_sq <= 0:
-        raise ValueError(f"beta_sq must be positive, got {beta_sq}")
+    check_beta_sq(beta_sq)
     pred, gt = _check_pair(pred, gt)
     p = _binarize(pred, threshold)
     g = gt > 0.5

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .cim import Cim, CimState
-from .encoders import PhraseEncoder, PhraseSet, VisualEncoder
+from .encoders import TAPS, PhraseEncoder, PhraseSet, VisualEncoder
 from .fusion import BilinearFusion, build_initial_fused
 from .seghead import MaskPrediction, SegHead, bce_loss
 from .tensor import Tensor
@@ -60,26 +60,26 @@ class ModelConfig:
 class CbceNet:
     """Cyclic bilateral consistency-enhancement network at desk scale."""
 
-    def __init__(self, cfg: ModelConfig, vocab_size: int, rng=None):
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        dt = cfg.np_dtype
+    def __init__(self, cfg: ModelConfig, vocab_size: int, rng):
+        rng = np.random.default_rng(rng)  # a Generator passes through unchanged
         self.cfg = cfg
-        self.vocab_size = vocab_size
         self.encoder = VisualEncoder(
             stage_channels=cfg.backbone_channels,
             c_out=cfg.c_i,
             feat_h=cfg.feat_h,
             feat_w=cfg.feat_w,
             rng=rng,
-            dtype=dt,
         )
-        self.phrase_encoder = PhraseEncoder(vocab_size, cfg.c_l, rng=rng, dtype=dt)
+        self.phrase_encoder = PhraseEncoder(vocab_size, cfg.c_l, rng=rng)
         self.fusers = {
-            i: BilinearFusion(cfg.c_i, cfg.c_l, cfg.c_f, cfg.rank, rng=rng, dtype=dt)
-            for i in (3, 4, 5)
+            i: BilinearFusion(cfg.c_i, cfg.c_l, cfg.c_f, cfg.rank, rng=rng)
+            for i in TAPS
         }
-        self.cim = Cim(cfg.c_l, cfg.c_v, rounds=cfg.rounds, rng=rng, dtype=dt)
-        self.head = SegHead(3 * cfg.c_v, cfg.c_a, rng=rng, dtype=dt)
+        self.cim = Cim(cfg.c_l, cfg.c_v, rounds=cfg.rounds, rng=rng)
+        self.head = SegHead(len(TAPS) * cfg.c_v, cfg.c_a, rng=rng)
+        # modules draw float64 weights; this is the one cast to the configured precision
+        for p in self.parameters().values():
+            p.data = p.data.astype(cfg.np_dtype, copy=False)
 
     def forward(self, image: np.ndarray, phrases: PhraseSet) -> MaskPrediction:
         """image: (H, W, 3) float array in [0, 1]."""
@@ -91,9 +91,7 @@ class CbceNet:
         lang0 = self.phrase_encoder.forward(phrases)
         fused0 = build_initial_fused(pyramid, lang0, self.fusers)
         state: CimState = self.cim.forward(lang0, fused0, cycles=self.cfg.cycles)
-        return self.head.forward(
-            state.fused[3], state.fused[4], state.fused[5], image.shape[:2]
-        )
+        return self.head.forward(state.fused, image.shape[:2])
 
     def loss(self, image: np.ndarray, phrases: PhraseSet, mask: np.ndarray) -> Tensor:
         return bce_loss(self.forward(image, phrases), mask)
@@ -104,7 +102,7 @@ class CbceNet:
             out[f"encoder.{name}"] = t
         for name, t in self.phrase_encoder.parameters():
             out[f"phrases.{name}"] = t
-        for i in (3, 4, 5):
+        for i in TAPS:
             for name, t in self.fusers[i].parameters():
                 out[f"fuse{i}.{name}"] = t
         for name, t in self.cim.parameters():

@@ -23,19 +23,18 @@ class Aspp:
     mix. Every branch emits ``c_out`` channels.
     """
 
-    def __init__(self, c_in: int, c_out: int = 64, rng=None, dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
-        self.gap_w = init.glorot(rng, (c_in, c_out), c_in, c_out, dtype)
-        self.gap_b = init.zeros((c_out,), dtype)
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
+        self.gap_w = init.glorot(rng, (c_in, c_out), c_in, c_out)
+        self.gap_b = init.zeros((c_out,))
         self.branches = {}
         for d in ASPP_DILATIONS:
             self.branches[d] = (
-                init.glorot(rng, (3, 3, c_in), 9 * c_in, 9 * c_in, dtype),
-                init.glorot(rng, (c_in, c_out), c_in, c_out, dtype),
-                init.zeros((c_out,), dtype),
+                init.glorot(rng, (3, 3, c_in), 9 * c_in, 9 * c_in),
+                init.glorot(rng, (c_in, c_out), c_in, c_out),
+                init.zeros((c_out,)),
             )
-        self.fuse_w = init.glorot(rng, (5 * c_out, c_out), 5 * c_out, c_out, dtype)
-        self.fuse_b = init.zeros((c_out,), dtype)
+        self.fuse_w = init.glorot(rng, (5 * c_out, c_out), 5 * c_out, c_out)
+        self.fuse_b = init.zeros((c_out,))
 
     def forward(self, x: Tensor) -> Tensor:
         h, w, _ = x.shape
@@ -72,11 +71,10 @@ class MaskPrediction:
 class SegHead:
     """concat levels -> ASPP -> 1x1 to one channel -> bilinear upsample."""
 
-    def __init__(self, c_in: int, c_a: int = 64, rng=None, dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
-        self.aspp = Aspp(c_in, c_a, rng=rng, dtype=dtype)
-        self.mask_w = init.glorot(rng, (c_a, 1), c_a, 1, dtype)
-        self.mask_b = init.zeros((1,), dtype)
+    def __init__(self, c_in: int, c_a: int, rng: np.random.Generator):
+        self.aspp = Aspp(c_in, c_a, rng=rng)
+        self.mask_w = init.glorot(rng, (c_a, 1), c_a, 1)
+        self.mask_b = init.zeros((1,))
 
     def predict_mask(self, aspp_out: Tensor, image_size) -> MaskPrediction:
         h_img, w_img = image_size
@@ -84,9 +82,10 @@ class SegHead:
         logits = reshape(bilinear_upsample(logit_map, h_img, w_img), (h_img, w_img))
         return MaskPrediction(logits=logits)
 
-    def forward(self, f3: Tensor, f4: Tensor, f5: Tensor, image_size) -> MaskPrediction:
-        """Levels are concatenated on channels in the order 3, 4, 5."""
-        return self.predict_mask(self.aspp.forward(concat([f3, f4, f5], axis=2)), image_size)
+    def forward(self, fused: dict, image_size) -> MaskPrediction:
+        """Concatenates the level -> (H, W, C) maps on channels, levels ascending."""
+        maps = [fused[i] for i in sorted(fused)]
+        return self.predict_mask(self.aspp.forward(concat(maps, axis=2)), image_size)
 
     def parameters(self):
         for name, t in self.aspp.parameters():

@@ -21,7 +21,7 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datakit import SynthConfig, augment, load_manifest, read_ppm, write_pgm
 from .encoders import Vocabulary
-from .metrics import MetricReport, _binarize, evaluate_dataset
+from .metrics import MetricReport, _binarize, check_beta_sq, check_threshold, evaluate_dataset
 from .model import CbceNet, ModelConfig
 from .optim import AdamState, adam_step, poly_lr
 from .tensor import NumericError, backward
@@ -91,7 +91,6 @@ def _checkpoint_from(model: CbceNet, cfg: TrainConfig, vocab: Vocabulary,
     return Checkpoint(
         config={
             "model": cfg.model.to_dict(),
-            "fused_width": cfg.model.c_v,
             "train": {
                 "seed": cfg.seed,
                 "epochs": cfg.epochs,
@@ -224,6 +223,8 @@ def predict_records(model: CbceNet, vocab: Vocabulary, records, n_phrases: int) 
 def evaluate_checkpoint(ckpt_path, data, threshold: float = 0.5, beta_sq: float = 0.3,
                         report_prefix=None, limit: int | None = None) -> MetricReport:
     """Forward every record of the manifest (no augmentation) and score it."""
+    check_threshold(threshold)
+    check_beta_sq(beta_sq)
     ckpt = load_checkpoint(ckpt_path)
     model, vocab = model_from_checkpoint(ckpt)
     records = load_manifest(_resolve_manifest(data))
@@ -248,6 +249,7 @@ def infer(ckpt_path, image_path, phrases, out_prefix, threshold: float = 0.5):
     """
     if not phrases:
         raise ValueError("at least one phrase is required")
+    check_threshold(threshold)
     ckpt = load_checkpoint(ckpt_path)
     model, vocab = model_from_checkpoint(ckpt)
     unknown = vocab.unknown_tokens(phrases)

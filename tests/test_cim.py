@@ -214,7 +214,7 @@ def test_cim_full_gradient_check_micro():
 
 def test_cim_validates_rounds_cycles_levels():
     with pytest.raises(ValueError):
-        Cim(c_l=3, c_v=4, rounds=0)
+        Cim(c_l=3, c_v=4, rounds=0, rng=_rng(19))
     cim, lang0, fused0 = _micro_cim(19)
     with pytest.raises(ValueError):
         cim.forward(lang0, fused0, cycles=0)

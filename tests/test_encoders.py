@@ -17,6 +17,7 @@ from cbce.tensor import Tensor, backward, tsum
 from cbce.train import load_config, train
 
 PHRASES = ["move by rotating", "spherical", "can roll", "outdoor activities"]
+TOY_STAGES = (8, 16, 32, 32, 32)  # configs/toy.json backbone_channels
 
 
 def _vocab():
@@ -24,7 +25,7 @@ def _vocab():
 
 
 def test_pyramid_shape_contract_toy_config():
-    enc = VisualEncoder(c_out=32, feat_h=10, feat_w=10, rng=np.random.default_rng(0))
+    enc = VisualEncoder(TOY_STAGES, c_out=32, feat_h=10, feat_w=10, rng=np.random.default_rng(0))
     img = Tensor(np.random.default_rng(1).random((80, 80, 3)))
     pyr = enc.forward(img)
     assert sorted(pyr) == [3, 4, 5]
@@ -33,7 +34,7 @@ def test_pyramid_shape_contract_toy_config():
 
 
 def test_pyramid_differs_for_different_images():
-    enc = VisualEncoder(rng=np.random.default_rng(2))
+    enc = VisualEncoder(TOY_STAGES, c_out=32, feat_h=10, feat_w=10, rng=np.random.default_rng(2))
     rng = np.random.default_rng(3)
     a = enc.forward(Tensor(rng.random((80, 80, 3))))
     b = enc.forward(Tensor(rng.random((80, 80, 3))))
@@ -41,7 +42,7 @@ def test_pyramid_differs_for_different_images():
 
 
 def test_image_below_total_stride_rejected():
-    enc = VisualEncoder(rng=np.random.default_rng(4))
+    enc = VisualEncoder(TOY_STAGES, c_out=32, feat_h=10, feat_w=10, rng=np.random.default_rng(4))
     with pytest.raises(ValueError, match="stride"):
         enc.forward(Tensor(np.zeros((16, 16, 3))))
 
@@ -171,18 +172,19 @@ def reference_forward(enc, phrases):
         pre = T.add(T.add(T.matmul(x, enc.wx[name]), T.matmul(h, enc.wh[name])), enc.b[name])
         return T.tanh(pre) if name == "g" else T.sigmoid(pre)
 
+    c_l = enc.embedding.shape[1]
     feats = []
     for p in range(phrases.n):
         ids = phrases.ids[p, : phrases.lengths[p]]
         emb = _ref_gather_rows(enc.embedding, ids)
-        h = Tensor(np.zeros((1, enc.c_l), dtype=enc.dtype))
-        c = Tensor(np.zeros((1, enc.c_l), dtype=enc.dtype))
+        h = Tensor(np.zeros((1, c_l), dtype=enc.embedding.dtype))
+        c = Tensor(np.zeros((1, c_l), dtype=enc.embedding.dtype))
         for t in range(ids.size):
             x = _ref_narrow_row(emb, t)
             i, f, g, o = (gate(name, x, h) for name in enc.GATES)
             c = T.add(T.mul(f, c), T.mul(i, g))
             h = T.mul(o, T.tanh(c))
-        feats.append(T.reshape(h, (enc.c_l,)))
+        feats.append(T.reshape(h, (c_l,)))
     return _ref_max(feats)
 
 
@@ -195,10 +197,10 @@ def _phrase_set(rows, vocab_size):
 
 def _assert_fused_equals_reference(rows, vocab_size, c_l, dtype, seed):
     rng = np.random.default_rng(seed)
-    enc = PhraseEncoder(vocab_size, c_l=c_l, rng=rng, dtype=dtype)
+    enc = PhraseEncoder(vocab_size, c_l=c_l, rng=rng)
     params = [t for _, t in enc.parameters()]
     for t in params:  # spread the values so gates leave their linear range
-        t.data[:] = rng.standard_normal(t.shape).astype(dtype)
+        t.data = rng.standard_normal(t.shape).astype(dtype)
     phrases = _phrase_set(rows, vocab_size)
     proj = Tensor(rng.standard_normal(c_l).astype(dtype))
     results = []

@@ -62,14 +62,14 @@ def test_seghead_concats_levels_in_order_3_4_5():
         return aspp_forward(x)
 
     head.aspp.forward = spy
-    head.forward(f3, f4, f5, (6, 6))
+    head.forward({5: f5, 3: f3, 4: f4}, (6, 6))  # key order does not matter
     (cat,) = seen
     assert cat.shape == (3, 3, 6)
     np.testing.assert_array_equal(cat[:, :, 0:2], f3.data)
     np.testing.assert_array_equal(cat[:, :, 2:4], f4.data)
     np.testing.assert_array_equal(cat[:, :, 4:6], f5.data)
     with pytest.raises(ShapeError):
-        head.forward(f3, f4, Tensor(rng.standard_normal((2, 3, 2))), (6, 6))
+        head.forward({3: f3, 4: f4, 5: Tensor(rng.standard_normal((2, 3, 2)))}, (6, 6))
 
 
 def test_predict_mask_constant_and_shape():
@@ -91,7 +91,7 @@ def test_predict_mask_gradients():
     feats = [Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True) for _ in range(3)]
     params = [t for _, t in head.parameters()]
     rep = grad_check(
-        lambda *_: head.forward(*feats, (6, 6)).logits,
+        lambda *_: head.forward(dict(zip((3, 4, 5), feats)), (6, 6)).logits,
         [*feats, *params],
         max_coords_per_tensor=8,
         rng=np.random.default_rng(9),
@@ -161,7 +161,7 @@ def test_loss_decreases_under_small_gradient_step():
         gt = (rng.random((8, 8)) > 0.5).astype(float)
 
         def loss_value():
-            return bce_loss(head.forward(*feats, (8, 8)), gt)
+            return bce_loss(head.forward(dict(zip((3, 4, 5), feats)), (8, 8)), gt)
 
         before = loss_value()
         backward(before)

@@ -376,6 +376,23 @@ def test_cli_infer_rejects_threshold_outside_unit_interval(tmp_path, tiny_data, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "threshold must lie in (0, 1)" in err
     assert not os.path.exists(f"{out}_mask.pgm")
+    # the value is checked before the checkpoint is read
+    assert main(["infer", "--ckpt", str(tmp_path / "missing.cbce"), "--image", rec.image_path,
+                 "--phrase", rec.phrases[0], "--out", str(out), "--threshold", "1.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threshold must lie in (0, 1)" in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threshold", "1.5", "threshold must lie in (0, 1)"),
+    ("--beta-sq", "0", "beta_sq must be positive"),
+])
+def test_cli_eval_rejects_out_of_range_values_before_reading_checkpoint(
+        tmp_path, tiny_data, flag, value, message, capsys):
+    assert main(["eval", "--ckpt", str(tmp_path / "missing.cbce"), "--data", tiny_data,
+                 flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("path", ["configs/toy.json", "configs/full_scale.json",
