@@ -10,9 +10,10 @@ small ones and are bit-identical to recording those ops one by one:
 reshape back) as one node, and ``lstm_phrases`` is the phrase encoder
 (lookup, LSTM and max-pool over the whole phrase set).
 
-``backward(loss)`` collects the nodes reachable from the loss and runs
-their rules newest first; each node records that it ran, so a second
-pass over the same recording raises ``GraphConsumedError``.
+``backward(loss)`` runs the rules of the nodes reachable from the loss
+newest first, freeing each rule (with the arrays it saved) and its
+output's gradient once it has run; only leaves receive ``grad``. A
+second pass over the same recording raises ``GraphConsumedError``.
 
 Every forward result is checked for NaN/Inf and fails fast naming the
 producing operation. A node keeps only the id of its output, never the
@@ -70,9 +71,9 @@ class Node:
 class Tensor:
     """n-dimensional float32/float64 value with an optional gradient.
 
-    ``grad`` is None until a backward pass over a graph that reaches this
-    tensor populates it. Data is row-major; spatial maps use H x W x C
-    axis order throughout the package.
+    ``grad`` is None until a backward pass reaches this tensor, and only
+    leaves (``node`` None) get one. Data is row-major; spatial maps use H x
+    W x C axis order throughout the package.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
@@ -135,12 +136,13 @@ def record_op(op: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+    """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
     The recorded nodes run newest first: an op's inputs always exist
     before its output, so creation order is a topological order.
-    Gradients of tensors used multiple times are summed in that order. A
-    recording can be walked once; rerunning without re-recording the
+    Gradients of tensors used multiple times are summed in that order.
+    A node's rule and its output's gradient are dropped once it has run.
+    A recording can be walked once; rerunning without re-recording the
     forward pass raises GraphConsumedError.
     """
     if loss.size != 1:
@@ -158,13 +160,14 @@ def backward(loss: Tensor) -> None:
         raise GraphConsumedError("backward already ran over this recording; re-run the forward pass")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    leaves: dict[int, Tensor] = {id(loss): loss} if loss.node is None else {}
     for node in nodes:
         node.consumed = True
-        gout = grads.get(node.output_id)
+        gout, rule = grads.pop(node.output_id, None), node.backward_fn
+        node.backward_fn = None  # frees the arrays the rule saved once it has run
         if gout is None:
             continue
-        in_grads = node.backward_fn(gout)
+        in_grads = rule(gout)
         for t, g in zip(node.inputs, in_grads):
             if g is None or not t.requires_grad:
                 continue
@@ -176,11 +179,11 @@ def backward(loss: Tensor) -> None:
                 grads[tid] = grads[tid] + g
             else:
                 grads[tid] = g
-                holders[tid] = t
-    for tid, g in grads.items():
-        t = holders[tid]
+                if t.node is None:
+                    leaves[tid] = t
+    for tid, t in leaves.items():
         if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+            t.grad = grads[tid] if t.grad is None else t.grad + grads[tid]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

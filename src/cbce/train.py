@@ -1,12 +1,12 @@
 """Training loop, evaluation, and single-image inference.
 
-One sample per step: draw a record in seeded shuffled order, crop/flip,
-run the network, backpropagate the summed cross entropy, and apply Adam
-under the polynomial schedule. Every random stream is keyed off the
-config seed plus a purpose tag, so identical configs give identical loss
-traces. A checkpoint is written for the final state and for every
-completed epoch that does not end the run (the final one holds that
-state); each is self-contained.
+One sample per step: draw a record in seeded shuffled order, read its
+scene (none stays resident), crop/flip, run the network, backpropagate
+the summed cross entropy, and apply Adam under the polynomial schedule.
+Every random stream is keyed off the config seed plus a purpose tag, so
+identical configs give identical loss traces. A checkpoint is written
+for the final state and for every completed epoch that does not end the
+run (the final one holds that state); each is self-contained.
 """
 from __future__ import annotations
 
@@ -73,14 +73,9 @@ class TrainResult:
     epoch_checkpoints: list = field(default_factory=list)
 
 
-def _load_samples(records, vocab: Vocabulary, n_phrases: int):
-    out = []
-    for rec in records:
-        image = rec.load_image()
-        mask = rec.load_mask()
-        phrases = vocab.encode_phrases(rec.phrases[:n_phrases])
-        out.append((rec, image, mask, phrases))
-    return out
+def _samples(records, vocab: Vocabulary, n_phrases: int) -> list:
+    """(record, encoded phrases) per record; each scene is read at its step."""
+    return [(rec, vocab.encode_phrases(rec.phrases[:n_phrases])) for rec in records]
 
 
 def _checkpoint_from(model: CbceNet, cfg: TrainConfig, vocab: Vocabulary,
@@ -131,14 +126,14 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
     """Run the loop over data_dir/{train.jsonl,vocab.txt}; write logs, a
     checkpoint per completed epoch before the last step and the final
     ``model.cbce`` under out_dir. Aborts on a non-finite loss with the offending step in the
-    message."""
+    message. Scenes are read at their step: a truncated payload fails there."""
     data_dir, out_dir = str(data_dir), str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     records = load_manifest(os.path.join(data_dir, "train.jsonl"))
     if not records:
         raise ValueError("empty training manifest")
     vocab = Vocabulary.load(os.path.join(data_dir, "vocab.txt"))
-    samples = _load_samples(records, vocab, cfg.model.n_phrases)
+    samples = _samples(records, vocab, cfg.model.n_phrases)
 
     model = CbceNet(cfg.model, len(vocab), rng=np.random.default_rng([cfg.seed, 0]))
     params = model.parameters()
@@ -164,7 +159,8 @@ def train(cfg: TrainConfig, data_dir, out_dir, log_stream=None) -> TrainResult:
             order = np.random.default_rng([cfg.seed, 100 + epoch]).permutation(len(samples))
             order = order[: max_steps - step]
             for idx in order:
-                rec, image, mask, phrases = samples[idx]
+                rec, phrases = samples[idx]
+                image, mask = rec.load_image(), rec.load_mask()
                 if cfg.crop_size:
                     image, mask = augment(
                         image, mask, np.random.default_rng([cfg.seed, 200, step]),

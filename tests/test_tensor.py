@@ -2,6 +2,7 @@
 import dataclasses
 import gc
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +14,9 @@ from cbce import cim, convops, encoders, fusion, seghead
 from cbce import tensor as T
 from cbce.checkpoint import load_checkpoint
 from cbce.datakit import synth_generate
+from cbce.encoders import Vocabulary
 from cbce.gradcheck import micro_pipeline_entry, standard_op_suite
+from cbce.model import CbceNet
 from cbce.tensor import (
     GraphConsumedError,
     NumericError,
@@ -23,6 +26,8 @@ from cbce.tensor import (
     record_op,
 )
 from cbce.train import load_config, train
+
+TOY_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json")
 
 
 def test_matmul_identity():
@@ -266,6 +271,7 @@ def test_second_backward_on_consumed_graph_errors():
     sq = T.mul(x, x)
     loss = T.tsum(sq)
     backward(loss)
+    assert sq.node.backward_fn is None  # freed by the walk, still refused below
     with pytest.raises(GraphConsumedError):
         backward(loss)
     # a loss recorded on top of part of a consumed recording is refused too
@@ -512,7 +518,7 @@ def test_linear_shape_mismatch_rejected():
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_linear_training_bit_identical(dtype, tmp_path, monkeypatch):
     # three toy-scale steps: loss, parameters and Adam moments all bit-equal
-    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json"))
+    cfg = load_config(TOY_CONFIG)
     cfg = dataclasses.replace(
         cfg, max_steps=3, model=dataclasses.replace(cfg.model, dtype=dtype),
         synth=dataclasses.replace(cfg.synth, samples=8),
@@ -529,3 +535,138 @@ def test_linear_training_bit_identical(dtype, tmp_path, monkeypatch):
         assert sorted(got) == sorted(want)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=f"{field} {name}")
+
+
+# ---------------------------------------------------------------------------
+# the backward walk that frees state as it goes, against the one it replaced
+
+
+def reference_backward(loss):
+    """The walk before it freed anything: every rule and every gradient
+    stays alive until the end, and every reachable tensor that requires
+    grad, intermediates included, receives ``grad``."""
+    found = {}
+    stack = [loss]
+    while stack:
+        node = stack.pop().node
+        if node is None or id(node) in found:
+            continue
+        found[id(node)] = node
+        stack.extend(node.inputs)
+    nodes = sorted(found.values(), key=lambda n: n.seq, reverse=True)
+    grads = {id(loss): np.ones_like(loss.data)}
+    holders = {id(loss): loss}
+    for node in nodes:
+        node.consumed = True
+        gout = grads.get(node.output_id)
+        if gout is None:
+            continue
+        for t, g in zip(node.inputs, node.backward_fn(gout)):
+            if g is None or not t.requires_grad:
+                continue
+            g = np.asarray(g, dtype=t.data.dtype)
+            if g.shape != t.data.shape:
+                g = g.reshape(t.data.shape)
+            tid = id(t)
+            if tid in grads:
+                grads[tid] = grads[tid] + g
+            else:
+                grads[tid] = g
+                holders[tid] = t
+    for tid, g in grads.items():
+        t = holders[tid]
+        if t.requires_grad:
+            t.grad = g if t.grad is None else t.grad + g
+
+
+def toy_step(dtype):
+    """(model, loss_fn): one ``configs/toy.json`` training step on a 71-px crop."""
+    cfg = dataclasses.replace(load_config(TOY_CONFIG).model, dtype=dtype)
+    vocab = Vocabulary(["<pad>", "<unk>", "cut", "edge", "grasp", "handle", "pour", "spout"])
+    model = CbceNet(cfg, len(vocab), rng=0)
+    rng = np.random.default_rng(1)
+    image = rng.random((71, 71, 3))
+    mask = (rng.random((71, 71)) < 0.3).astype(np.float64)
+    phrases = vocab.encode_phrases(["grasp handle", "cut edge", "pour spout", "grasp"])
+    return model, lambda: model.loss(image, phrases, mask)
+
+
+def graph_tensors(loss):
+    """Every tensor reachable from ``loss``, the loss included."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t.node.inputs if t.node is not None else ())
+    return list(seen.values())
+
+
+def test_backward_frees_node_state_and_grads_only_leaves():
+    model, loss_fn = toy_step("float32")
+    loss = loss_fn()
+    tensors = graph_tensors(loss)
+    inner = [t for t in tensors if t.node is not None]
+    assert len(inner) > 100 and all(t.node.backward_fn is not None for t in inner)
+    backward(loss)
+    assert all(t.grad is None and t.node.backward_fn is None for t in inner)
+    assert all(p.grad is not None for p in model.parameters().values())
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_backward_leaf_grads_bit_identical_to_reference_walk(dtype):
+    model, loss_fn = toy_step(dtype)
+    params = model.parameters()
+    results = []
+    for walk in (reference_backward, backward):
+        loss = loss_fn()
+        walk(loss)
+        results.append((loss.item(), {k: p.grad for k, p in params.items()}))
+        for p in params.values():
+            p.grad = None
+    (ref_loss, ref), (got_loss, got) = results
+    assert got_loss == ref_loss
+    for name in ref:
+        assert got[name].dtype == ref[name].dtype == np.dtype(dtype), name
+        np.testing.assert_array_equal(got[name], ref[name], err_msg=name)
+
+
+def test_array_held_only_by_a_backward_rule_dies_with_the_walk():
+    x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+
+    def scaled(a):
+        s = np.cos(a.data)  # the only reference is the rule's closure
+        return record_op("scale", a.data * s, (a,), lambda g: (g * s,)), weakref.ref(s)
+
+    y, saved = scaled(x)
+    loss = T.tsum(y)
+    assert saved() is not None
+    backward(loss)
+    assert saved() is None
+    np.testing.assert_array_equal(x.grad, np.cos(x.data))
+    assert loss.node is not None  # the recording itself lives on with its loss
+
+
+def test_backward_on_a_leaf_scalar_sets_its_grad_to_one():
+    x = Tensor(np.array([2.5]), requires_grad=True)
+    backward(x)
+    np.testing.assert_array_equal(x.grad, [1.0])
+
+
+def backward_peak_bytes(walk, loss_fn) -> int:
+    """Peak bytes allocated while ``walk`` runs over a fresh recording."""
+    loss = loss_fn()
+    tracemalloc.start()
+    try:
+        walk(loss)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_peak_memory_below_three_quarters_of_reference_walk():
+    # a change that holds graph state across the walk again fails here
+    _, loss_fn = toy_step("float32")
+    lean = backward_peak_bytes(backward, loss_fn)
+    held = backward_peak_bytes(reference_backward, loss_fn)
+    assert lean < 0.75 * held, (lean, held)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from cbce import checkpoint as checkpoint_mod
+from cbce import train as train_mod
 from cbce.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cbce.cli import main
 from cbce.datakit import (
+    ManifestRecord,
     SynthConfig,
     load_manifest,
     save_manifest,
@@ -231,6 +233,29 @@ def test_model_checkpoint_forward_bit_identical(tmp_path, tiny_data):
     a = model.forward(rec.load_image(), ps).prob_map
     b = model2.forward(rec.load_image(), vocab2.encode_phrases(rec.phrases)).prob_map
     np.testing.assert_array_equal(a, b)
+
+
+def test_training_reads_each_scene_at_its_step(tmp_path, tiny_data, monkeypatch):
+    # 6 training records and 4 steps: a resident cache would read all 6 up front
+    calls = []
+    for name in ("load_image", "load_mask"):
+        def counted(self, read=getattr(ManifestRecord, name), name=name):
+            calls.append(name)
+            return read(self)
+        monkeypatch.setattr(ManifestRecord, name, counted)
+    held = []
+    make = train_mod._samples
+
+    def keep(*args):
+        held.append(make(*args))
+        return held[-1]
+
+    monkeypatch.setattr(train_mod, "_samples", keep)
+    assert train(_tiny_config(max_steps=4), tiny_data, tmp_path / "run").steps == 4
+    assert calls == ["load_image", "load_mask"] * 4
+    (samples,) = held
+    assert len(samples) == 6
+    assert not any(isinstance(x, np.ndarray) for sample in samples for x in sample)
 
 
 def test_training_is_seed_deterministic(tmp_path, tiny_data):
