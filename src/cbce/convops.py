@@ -32,12 +32,13 @@ def _pad_edge(x: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
 
 
 def _fold_pad_gradient(dxp: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
-    """Collapse gradient mass on replicated padding back onto the edges."""
+    """Collapse gradient mass on replicated padding back onto the edges;
+    folds the rows in place on ``dxp``, which the caller gives up."""
     if pad == 0:
         return dxp
-    rows = dxp[pad : pad + h].copy()
-    rows[0] += dxp[:pad].sum(axis=0)
-    rows[-1] += dxp[pad + h :].sum(axis=0)
+    dxp[pad] += dxp[:pad].sum(axis=0)
+    dxp[pad + h - 1] += dxp[pad + h :].sum(axis=0)
+    rows = dxp[pad : pad + h]
     dx = rows[:, pad : pad + w].copy()
     dx[:, 0] += rows[:, :pad].sum(axis=1)
     dx[:, -1] += rows[:, pad + w :].sum(axis=1)
@@ -70,8 +71,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
     pad = (k - 1) // 2
-    xp = _pad_edge(x.data, (pad, pad), (pad, pad))
-    wd = w.data
+    xd, wd = x.data, w.data
+    xp = _pad_edge(xd, (pad, pad), (pad, pad))
 
     acc = np.zeros((h * wid, cout), dtype=x.dtype)
     for a in range(k):
@@ -79,7 +80,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
             acc += xp[a : a + h, b : b + wid].reshape(-1, cin) @ wd[a, b]
     out = acc.reshape(h, wid, cout) + bias.data
 
-    def bwd(g):
+    def bwd(g):  # re-pads x rather than keeping the padded copy alive
+        xp = _pad_edge(xd, (pad, pad), (pad, pad))
         g2 = g.reshape(-1, cout)
         dw = np.empty_like(wd)
         dxp = np.zeros_like(xp)
@@ -105,25 +107,26 @@ def depthwise_conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernel {w.shape}")
     h, wid, cin = x.shape
     pad = dilation * (k - 1) // 2
-    xp = _pad_edge(x.data, (pad, pad), (pad, pad))
-    wd = w.data
+    xd, wd = x.data, w.data
+    xp = _pad_edge(xd, (pad, pad), (pad, pad))
+    taps = [(a, b, (slice(a * dilation, a * dilation + h), slice(b * dilation, b * dilation + wid)))
+            for a in range(k) for b in range(k)]
 
     out = np.zeros((h, wid, cin), dtype=x.dtype)
-    for a in range(k):
-        for b in range(k):
-            out += xp[a * dilation : a * dilation + h, b * dilation : b * dilation + wid] * wd[a, b]
+    for a, b, sl in taps:
+        out += xp[sl] * wd[a, b]
 
     def bwd(g):
+        # x is re-padded here, and freed before the padded gradient exists:
+        # at dilation 11 on a 20x20 map the padded copy is 4.4x the map
+        xp = _pad_edge(xd, (pad, pad), (pad, pad))
         dw = np.empty_like(wd)
-        dxp = np.zeros_like(xp)
-        for a in range(k):
-            for b in range(k):
-                sl = (
-                    slice(a * dilation, a * dilation + h),
-                    slice(b * dilation, b * dilation + wid),
-                )
-                dw[a, b] = (xp[sl] * g).sum(axis=(0, 1))
-                dxp[sl] += g * wd[a, b]
+        for a, b, sl in taps:
+            dw[a, b] = (xp[sl] * g).sum(axis=(0, 1))
+        del xp
+        dxp = np.zeros((h + 2 * pad, wid + 2 * pad, cin), dtype=xd.dtype)
+        for a, b, sl in taps:
+            dxp[sl] += g * wd[a, b]
         return _fold_pad_gradient(dxp, pad, h, wid), dw
 
     return record_op("depthwise_conv2d", out, (x, w), bwd)
