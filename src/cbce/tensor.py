@@ -16,9 +16,12 @@ output's gradient once it has run; only leaves receive ``grad``. A
 second pass over the same recording raises ``GraphConsumedError``.
 
 Every forward result is checked for NaN/Inf and fails fast naming the
-producing operation. A node keeps only the id of its output, never the
-output itself, so a graph has no reference cycle: it lives exactly as
-long as its loss tensor and is freed by reference counting.
+producing operation. A node's edges point at the nodes that produced its
+inputs, or at leaves that require grad, and it records only its output's
+shape and dtype: the recording holds no tensor an op made, only the
+arrays backward rules saved, so an intermediate dies as soon as no later
+op needs it. A graph has no reference cycle: it lives exactly as long as
+its loss tensor and is freed by reference counting.
 
 An op records a node only when one of its inputs requires grad, so a
 forward pass over parameters with ``requires_grad = False`` records
@@ -52,14 +55,16 @@ _node_seq = itertools.count()
 
 
 class Node:
-    """One recorded operation: kind, inputs, output id, backward rule."""
+    """One recorded operation: kind, one input edge per input (its producing
+    node, the tensor itself for a leaf that requires grad, else None),
+    output shape and dtype, backward rule."""
 
-    __slots__ = ("op", "inputs", "output_id", "backward_fn", "seq", "consumed")
+    __slots__ = ("op", "inputs", "shape", "dtype", "backward_fn", "seq", "consumed", "__weakref__")
 
-    def __init__(self, op, inputs, output, backward_fn):
+    def __init__(self, op, inputs, out_data, backward_fn):
         self.op = op
-        self.inputs = inputs
-        self.output_id = id(output)
+        self.inputs = tuple(t.node or (t if t.requires_grad else None) for t in inputs)
+        self.shape, self.dtype = out_data.shape, out_data.dtype
         self.backward_fn = backward_fn
         self.seq = next(_node_seq)
         self.consumed = False
@@ -131,7 +136,7 @@ def record_op(op: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
-        out.node = Node(op, tuple(inputs), out, backward_fn)
+        out.node = Node(op, inputs, out_data, backward_fn)
     return out
 
 
@@ -140,7 +145,8 @@ def backward(loss: Tensor) -> None:
 
     The recorded nodes run newest first: an op's inputs always exist
     before its output, so creation order is a topological order.
-    Gradients of tensors used multiple times are summed in that order.
+    Gradients of tensors used multiple times are summed in that order,
+    per producing node or leaf.
     A node's rule and its output's gradient are dropped once it has run.
     A recording can be walked once; rerunning without re-recording the
     forward pass raises GraphConsumedError.
@@ -148,10 +154,10 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     found = {}
-    stack = [loss]
+    stack = [loss.node]
     while stack:
-        node = stack.pop().node
-        if node is None or id(node) in found:
+        node = stack.pop()
+        if type(node) is not Node or id(node) in found:
             continue
         found[id(node)] = node
         stack.extend(node.inputs)
@@ -159,31 +165,33 @@ def backward(loss: Tensor) -> None:
     if any(n.consumed for n in nodes):
         raise GraphConsumedError("backward already ran over this recording; re-run the forward pass")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # keyed by id(node) for recorded inputs and id(leaf) for leaves: both
+    # stay alive for the whole walk, so no key is the id of a freed object
+    grads: dict[int, np.ndarray] = {id(loss.node or loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {id(loss): loss} if loss.node is None else {}
     for node in nodes:
         node.consumed = True
-        gout, rule = grads.pop(node.output_id, None), node.backward_fn
+        gout, rule = grads.pop(id(node), None), node.backward_fn
         node.backward_fn = None  # frees the arrays the rule saved once it has run
         if gout is None:
             continue
         in_grads = rule(gout)
-        for t, g in zip(node.inputs, in_grads):
-            if g is None or not t.requires_grad:
+        for edge, g in zip(node.inputs, in_grads):
+            if g is None or edge is None:
                 continue
-            g = np.asarray(g, dtype=t.data.dtype)
-            if g.shape != t.data.shape:
-                g = g.reshape(t.data.shape)
-            tid = id(t)
-            if tid in grads:
-                grads[tid] = grads[tid] + g
+            g = np.asarray(g, dtype=edge.dtype)
+            if g.shape != edge.shape:
+                g = g.reshape(edge.shape)
+            key = id(edge)
+            if key in grads:
+                grads[key] = grads[key] + g
             else:
-                grads[tid] = g
-                if t.node is None:
-                    leaves[tid] = t
-    for tid, t in leaves.items():
+                grads[key] = g
+                if type(edge) is Tensor:
+                    leaves[key] = edge
+    for key, t in leaves.items():
         if t.requires_grad:
-            t.grad = grads[tid] if t.grad is None else t.grad + grads[tid]
+            t.grad = grads[key] if t.grad is None else t.grad + grads[key]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -205,9 +213,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return record_op("add", out, (a, b), bwd)
 

@@ -16,7 +16,7 @@ from cbce.checkpoint import load_checkpoint
 from cbce.datakit import synth_generate
 from cbce.encoders import Vocabulary
 from cbce.gradcheck import micro_pipeline_entry, standard_op_suite
-from cbce.model import CbceNet
+from cbce.model import CbceNet, ModelConfig
 from cbce.tensor import (
     GraphConsumedError,
     NumericError,
@@ -308,9 +308,9 @@ def test_backward_runs_rules_newest_first_after_their_consumers():
     assert ran == sorted(nodes, key=lambda n: n.seq, reverse=True)
     pos = {id(n): i for i, n in enumerate(ran)}
     for n in ran:
-        for inp in n.inputs:
-            if inp.node is not None:
-                assert pos[id(inp.node)] > pos[id(n)]
+        for edge in n.inputs:
+            if isinstance(edge, T.Node):
+                assert pos[id(edge)] > pos[id(n)]
     np.testing.assert_array_equal(x.grad, [12.0, 12.0])  # d/dx sum(6 x^2)
 
 
@@ -344,9 +344,10 @@ def test_graph_is_freed_with_its_loss():
     try:
         mid = T.mul(x, 2.0)
         loss = T.tsum(T.tanh(mid))
-        ref = weakref.ref(mid)
+        ref, mid_ref = weakref.ref(mid.node), weakref.ref(mid)
         del mid
         assert ref() is not None  # the loss keeps its graph alive
+        assert mid_ref() is None  # but not the tensors inside it
         backward(loss)
         with pytest.raises(GraphConsumedError):
             backward(loss)
@@ -543,40 +544,38 @@ def test_linear_training_bit_identical(dtype, tmp_path, monkeypatch):
 
 def reference_backward(loss):
     """The walk before it freed anything: every rule and every gradient
-    stays alive until the end, and every reachable tensor that requires
-    grad, intermediates included, receives ``grad``."""
+    stays alive until the end of the walk."""
     found = {}
-    stack = [loss]
+    stack = [loss.node]
     while stack:
-        node = stack.pop().node
-        if node is None or id(node) in found:
+        node = stack.pop()
+        if not isinstance(node, T.Node) or id(node) in found:
             continue
         found[id(node)] = node
         stack.extend(node.inputs)
     nodes = sorted(found.values(), key=lambda n: n.seq, reverse=True)
-    grads = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
+    grads = {id(loss.node): np.ones_like(loss.data)}
+    leaves = {}
     for node in nodes:
         node.consumed = True
-        gout = grads.get(node.output_id)
+        gout = grads.get(id(node))
         if gout is None:
             continue
-        for t, g in zip(node.inputs, node.backward_fn(gout)):
-            if g is None or not t.requires_grad:
+        for edge, g in zip(node.inputs, node.backward_fn(gout)):
+            if g is None or edge is None:
                 continue
-            g = np.asarray(g, dtype=t.data.dtype)
-            if g.shape != t.data.shape:
-                g = g.reshape(t.data.shape)
-            tid = id(t)
-            if tid in grads:
-                grads[tid] = grads[tid] + g
+            g = np.asarray(g, dtype=edge.dtype)
+            if g.shape != edge.shape:
+                g = g.reshape(edge.shape)
+            key = id(edge)
+            if key in grads:
+                grads[key] = grads[key] + g
             else:
-                grads[tid] = g
-                holders[tid] = t
-    for tid, g in grads.items():
-        t = holders[tid]
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+                grads[key] = g
+                if isinstance(edge, Tensor):
+                    leaves[key] = edge
+    for key, t in leaves.items():
+        t.grad = grads[key] if t.grad is None else t.grad + grads[key]
 
 
 def toy_step(dtype):
@@ -591,23 +590,39 @@ def toy_step(dtype):
     return model, lambda: model.loss(image, phrases, mask)
 
 
-def graph_tensors(loss):
-    """Every tensor reachable from ``loss``, the loss included."""
-    seen, stack = {}, [loss]
+def graph_nodes(loss):
+    """Every node reachable from ``loss``, its own included."""
+    seen, stack = {}, [loss.node]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(t.node.inputs if t.node is not None else ())
+        node = stack.pop()
+        if isinstance(node, T.Node) and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.inputs)
     return list(seen.values())
 
 
-def test_backward_frees_node_state_and_grads_only_leaves():
+def recorded_outputs(monkeypatch) -> list:
+    """Collects (and so keeps alive) every tensor an op records from now on."""
+    outs = []
+
+    def keeping(op, out_data, inputs, backward_fn):
+        out = record_op(op, out_data, inputs, backward_fn)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(T, "record_op", keeping)
+    monkeypatch.setattr(convops, "record_op", keeping)
+    return outs
+
+
+def test_backward_frees_node_state_and_grads_only_leaves(monkeypatch):
     model, loss_fn = toy_step("float32")
+    outs = recorded_outputs(monkeypatch)
     loss = loss_fn()
-    tensors = graph_tensors(loss)
-    inner = [t for t in tensors if t.node is not None]
-    assert len(inner) > 100 and all(t.node.backward_fn is not None for t in inner)
+    nodes = graph_nodes(loss)
+    inner = [t for t in outs if t.node is not None]
+    assert len(inner) == len(nodes) > 100 and {id(t.node) for t in inner} == {id(n) for n in nodes}
+    assert all(n.backward_fn is not None for n in nodes)
     backward(loss)
     assert all(t.grad is None and t.node.backward_fn is None for t in inner)
     assert all(p.grad is not None for p in model.parameters().values())
@@ -670,3 +685,77 @@ def test_backward_peak_memory_below_three_quarters_of_reference_walk():
     lean = backward_peak_bytes(backward, loss_fn)
     held = backward_peak_bytes(reference_backward, loss_fn)
     assert lean < 0.75 * held, (lean, held)
+
+
+# ---------------------------------------------------------------------------
+# the recording holds only what backward rules read
+
+
+def test_recording_edges_are_nodes_grad_leaves_or_none():
+    model, loss_fn = toy_step("float32")
+    params = {id(p) for p in model.parameters().values()}
+    for node in graph_nodes(loss_fn()):
+        for edge in node.inputs:
+            if isinstance(edge, Tensor):
+                assert edge.node is None and edge.requires_grad and id(edge) in params
+            else:
+                assert edge is None or isinstance(edge, T.Node), (node, edge)
+
+
+def test_gated_copies_die_before_the_loss(monkeypatch):
+    # every Lvm round sums gated copies of the other levels' maps; no rule
+    # reads a copy, so none outlives the forward pass
+    _, loss_fn = toy_step("float32")
+    copies = []
+
+    def mul(a, b):
+        out = T.mul(a, b)
+        copies.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(cim, "mul", mul)
+    loss = loss_fn()
+    assert len(copies) == 12
+    assert [ref() for ref in copies] == [None] * 12
+    assert loss.node is not None
+
+
+def test_dilated_depthwise_keeps_no_padded_copy():
+    # at dilation 11 a 10x10 map pads to 32x32: 10x its bytes if kept
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((10, 10, 16)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, 16)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = convops.depthwise_conv2d(x, w, dilation=11)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * x.data.nbytes, (held, x.data.nbytes)
+    backward(T.tsum(out))
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+# tracemalloc peak of one forward + backward at bench/configs/mid.json's
+# widths (144-px image, 20x20 grid, 128 channels, float32), measured
+# before the recording stopped holding intermediate tensors and padded
+# convolution inputs
+MID_STEP_PEAK_BYTES_BEFORE = 66_849_098
+
+
+def test_mid_width_step_peak_memory_guard():
+    cfg = ModelConfig(feat_h=20, feat_w=20, c_i=128, c_l=128, c_f=128, c_a=128, rank=32,
+                      backbone_channels=(16, 32, 64, 128, 128), dtype="float32")
+    vocab = Vocabulary(["<pad>", "<unk>", "cut", "edge", "grasp", "handle", "pour", "spout"])
+    model = CbceNet(cfg, len(vocab), rng=0)
+    rng = np.random.default_rng(1)
+    image = rng.random((144, 144, 3))
+    mask = (rng.random((144, 144)) < 0.3).astype(np.float64)
+    phrases = vocab.encode_phrases(["grasp handle", "cut edge", "pour spout", "grasp"])
+    tracemalloc.start()
+    try:
+        backward(model.loss(image, phrases, mask))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * MID_STEP_PEAK_BYTES_BEFORE, peak
