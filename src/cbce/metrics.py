@@ -220,20 +220,24 @@ def evaluate_dataset(predictions, records, threshold: float = 0.5, beta_sq: floa
                      masks=None) -> MetricReport:
     """Score one probability map per manifest record.
 
-    ``predictions`` maps record id -> probability map; ``masks`` maps
-    record id -> binary ground truth (loaded from the record's mask file
-    when omitted). Overall numbers are unweighted means over images; cc is
-    averaged over the images where it is defined, counted in ``cc_images``.
+    ``predictions`` maps record id -> probability map, or is a function
+    record -> map, called as each record is scored so that one map is alive
+    at a time; ``masks`` maps record id -> binary ground truth (loaded from
+    the record's mask file when omitted). Overall numbers are unweighted
+    means over images; cc is averaged over the images where it is defined,
+    counted in ``cc_images``.
     """
     records = list(records)
     if not records:
         raise ValueError("empty manifest: nothing to evaluate")
     report = MetricReport(threshold=threshold, beta_sq=beta_sq)
     for rec in records:
-        if rec.id not in predictions:
+        if not callable(predictions) and rec.id not in predictions:
             raise ValueError(f"missing prediction for record {rec.id!r}")
         gt = masks[rec.id] if masks is not None else rec.load_mask()
-        scores = score_pair(predictions[rec.id], gt, threshold, beta_sq)
+        pred = predictions(rec) if callable(predictions) else predictions[rec.id]
+        scores = score_pair(pred, gt, threshold, beta_sq)
+        del pred  # gone before the next record's map is made
         report.per_image.append(MetricRow(sample=rec.id, affordance=rec.affordance, **scores))
     report.per_category = {cat: _mean_block(rows)
                            for cat, rows in _by_category(report.per_image).items()}

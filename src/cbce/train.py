@@ -208,17 +208,10 @@ def _resolve_manifest(data) -> str:
     return data
 
 
-def predict_records(model: CbceNet, vocab: Vocabulary, records, n_phrases: int) -> dict:
-    preds = {}
-    for rec in records:
-        phrases = vocab.encode_phrases(rec.phrases[:n_phrases])
-        preds[rec.id] = model.forward(rec.load_image(), phrases).prob_map
-    return preds
-
-
 def evaluate_checkpoint(ckpt_path, data, threshold: float = 0.5, beta_sq: float = 0.3,
                         report_prefix=None, limit: int | None = None) -> MetricReport:
-    """Forward every record of the manifest (no augmentation) and score it."""
+    """Forward every record of the manifest (no augmentation) and score it
+    right away: one prediction and one mask are alive at a time."""
     check_threshold(threshold)
     check_beta_sq(beta_sq)
     ckpt = load_checkpoint(ckpt_path)
@@ -226,10 +219,12 @@ def evaluate_checkpoint(ckpt_path, data, threshold: float = 0.5, beta_sq: float 
     records = load_manifest(_resolve_manifest(data))
     if limit is not None:
         records = records[:limit]
-    preds = predict_records(model, vocab, records, model.cfg.n_phrases)
-    masks = {rec.id: rec.load_mask() for rec in records}
-    report = evaluate_dataset(preds, records, threshold=threshold, beta_sq=beta_sq,
-                              masks=masks)
+    n_phrases = model.cfg.n_phrases
+
+    def predict(rec):
+        return model.forward(rec.load_image(), vocab.encode_phrases(rec.phrases[:n_phrases])).prob_map
+
+    report = evaluate_dataset(predict, records, threshold=threshold, beta_sq=beta_sq)
     if report_prefix:
         report.write_csv(f"{report_prefix}.csv")
         report.write_json(f"{report_prefix}.json")

@@ -2,6 +2,7 @@
 import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -314,6 +315,35 @@ def test_evaluate_checkpoint_smoke(tmp_path, tiny_data):
                                  report_prefix=str(tmp_path / "rep"))
     assert 0.0 <= report.overall["iou"] <= 1.0
     assert (tmp_path / "rep.csv").exists() and (tmp_path / "rep.json").exists()
+
+
+def test_evaluate_checkpoint_scores_each_record_as_it_is_predicted(tmp_path, tiny_data,
+                                                                  tiny_ckpt, monkeypatch):
+    from cbce import seghead
+    from cbce.metrics import evaluate_dataset
+
+    # the path it replaced: every probability map and every mask held, then scored
+    model, vocab = model_from_checkpoint(load_checkpoint(tiny_ckpt))
+    records = load_manifest(os.path.join(tiny_data, "test.jsonl"))
+    n = model.cfg.n_phrases
+    preds = {r.id: model.forward(r.load_image(), vocab.encode_phrases(r.phrases[:n])).prob_map
+             for r in records}
+    masks = {r.id: r.load_mask() for r in records}
+    evaluate_dataset(preds, records, masks=masks).write_json(tmp_path / "held.json")
+    del preds, masks
+
+    maps, sigmoid = [], seghead._sigmoid  # MaskPrediction.prob_map's only producer
+
+    def one_alive(x):
+        assert all(ref() is None for ref in maps), "an earlier prediction is still alive"
+        out = sigmoid(x)
+        maps.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(seghead, "_sigmoid", one_alive)
+    evaluate_checkpoint(tiny_ckpt, tiny_data, report_prefix=str(tmp_path / "streamed"))
+    assert len(maps) == len(records) > 1
+    assert (tmp_path / "streamed.json").read_text() == (tmp_path / "held.json").read_text()
 
 
 def test_infer_deterministic_and_validates(tmp_path, tiny_data):
