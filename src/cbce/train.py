@@ -211,7 +211,8 @@ def _resolve_manifest(data) -> str:
 def evaluate_checkpoint(ckpt_path, data, threshold: float = 0.5, beta_sq: float = 0.3,
                         report_prefix=None, limit: int | None = None) -> MetricReport:
     """Forward every record of the manifest (no augmentation) and score it
-    right away: one prediction and one mask are alive at a time."""
+    right away, so one prediction is alive at a time and each mask is read
+    as its record is scored."""
     check_threshold(threshold)
     check_beta_sq(beta_sq)
     ckpt = load_checkpoint(ckpt_path)
