@@ -200,9 +200,9 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     h, w, c = x.shape
     r0, r1, fr = _resize_axis(h, out_h)
     c0, c1, fc = _resize_axis(w, out_w)
-    fr_col = fr[:, None, None]
-    fc_col = fc[None, :, None]
     xd = x.data
+    fr_col = fr.astype(xd.dtype)[:, None, None]  # weights in the map's dtype, so
+    fc_col = fc.astype(xd.dtype)[None, :, None]  # a float32 map stays float32
 
     rows = xd[r0] * (1.0 - fr_col) + xd[r1] * fr_col  # (out_h, W, C)
     out = rows[:, c0] * (1.0 - fc_col) + rows[:, c1] * fc_col

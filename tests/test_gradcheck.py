@@ -56,6 +56,19 @@ def test_every_checked_op_has_a_network_caller(monkeypatch):
     assert network <= set().union(*checked.values())
 
 
+@pytest.mark.parametrize("name", sorted(standard_op_suite()))
+def test_every_op_keeps_float32(name):
+    # each rule's own dtype: backward hands gradients on as the rules return them
+    fn, inputs = standard_op_suite()[name](np.random.default_rng(0))
+    for t in inputs:
+        t.data = t.data.astype(np.float32)
+    out = fn(*inputs)
+    assert out.dtype == np.float32
+    backward(T.tsum(out))
+    for i, t in enumerate(inputs):
+        assert t.grad.dtype == np.float32, (name, i)
+
+
 def test_matmul_passes_tight_tolerance():
     rng = np.random.default_rng(0)
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)

@@ -628,6 +628,28 @@ def test_backward_frees_node_state_and_grads_only_leaves(monkeypatch):
     assert all(p.grad is not None for p in model.parameters().values())
 
 
+def test_float32_training_step_runs_in_float32(monkeypatch):
+    # the configured precision is the one that runs: every recorded output
+    # and every parameter gradient of a float32 step is float32
+    model, loss_fn = toy_step("float32")
+    recorded = []
+
+    def recording(original):
+        def record(op, out_data, *args):
+            recorded.append((op, out_data.dtype))
+            return original(op, out_data, *args)
+
+        return record
+
+    monkeypatch.setattr(T, "record_op", recording(T.record_op))
+    monkeypatch.setattr(convops, "record_op", recording(convops.record_op))
+    backward(loss_fn())
+    assert len(recorded) > 100
+    assert {op for op, dtype in recorded if dtype != np.float32} == set()
+    for name, p in model.parameters().items():
+        assert p.grad.dtype == np.float32, name
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_backward_leaf_grads_bit_identical_to_reference_walk(dtype):
     model, loss_fn = toy_step(dtype)
