@@ -105,4 +105,4 @@ def bce_loss(pred: MaskPrediction, gt: np.ndarray) -> Tensor:
         raise ShapeError(f"mask shape {gt.shape} != prediction shape {pred.logits.shape}")
     if not np.isin(gt, (0, 1)).all():
         raise ValueError("ground-truth mask must be binary")
-    return bce_with_logits_sum(pred.logits, gt.astype(pred.logits.dtype))
+    return bce_with_logits_sum(pred.logits, gt)

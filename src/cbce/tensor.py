@@ -13,14 +13,16 @@ reshape back) as one node, and ``lstm_phrases`` is the phrase encoder
 ``backward(loss)`` runs the rules of the nodes reachable from the loss
 newest first, freeing each rule (with the arrays it saved) and its
 output's gradient once it has run; only leaves receive ``grad``. A
-second pass over the same recording raises ``GraphConsumedError``.
+second pass over the same recording raises ``GraphConsumedError``. No
+gradient is cast: a model runs in one precision, and ``optim.adam_step``
+refuses, by name, a parameter whose gradient a rule has promoted.
 
 Every forward result is checked for NaN/Inf and fails fast naming the
 producing operation. A node's edges point at the nodes that produced its
 inputs, or at leaves that require grad, and it records only its output's
-shape and dtype: the recording holds no tensor an op made, only the
-arrays backward rules saved, so an intermediate dies as soon as no later
-op needs it. A graph has no reference cycle: it lives exactly as long as
+shape: the recording holds no tensor an op made, only the arrays
+backward rules saved, so an intermediate dies as soon as no later op
+needs it. A graph has no reference cycle: it lives exactly as long as
 its loss tensor and is freed by reference counting.
 
 An op records a node only when one of its inputs requires grad, so a
@@ -57,17 +59,16 @@ _node_seq = itertools.count()
 class Node:
     """One recorded operation: kind, one input edge per input (its producing
     node, the tensor itself for a leaf that requires grad, else None),
-    output shape and dtype, backward rule."""
+    output shape, and backward rule (None once the walk has run it)."""
 
-    __slots__ = ("op", "inputs", "shape", "dtype", "backward_fn", "seq", "consumed", "__weakref__")
+    __slots__ = ("op", "inputs", "shape", "backward_fn", "seq", "__weakref__")
 
     def __init__(self, op, inputs, out_data, backward_fn):
         self.op = op
         self.inputs = tuple(t.node or (t if t.requires_grad else None) for t in inputs)
-        self.shape, self.dtype = out_data.shape, out_data.dtype
+        self.shape = out_data.shape
         self.backward_fn = backward_fn
         self.seq = next(_node_seq)
-        self.consumed = False
 
     def __repr__(self):
         return f"Node({self.op}, seq={self.seq})"
@@ -162,7 +163,7 @@ def backward(loss: Tensor) -> None:
         found[id(node)] = node
         stack.extend(node.inputs)
     nodes = sorted(found.values(), key=lambda n: n.seq, reverse=True)
-    if any(n.consumed for n in nodes):
+    if any(n.backward_fn is None for n in nodes):
         raise GraphConsumedError("backward already ran over this recording; re-run the forward pass")
 
     # keyed by id(node) for recorded inputs and id(leaf) for leaves: both
@@ -170,7 +171,6 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss.node or loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {id(loss): loss} if loss.node is None else {}
     for node in nodes:
-        node.consumed = True
         gout, rule = grads.pop(id(node), None), node.backward_fn
         node.backward_fn = None  # frees the arrays the rule saved once it has run
         if gout is None:
@@ -179,7 +179,6 @@ def backward(loss: Tensor) -> None:
         for edge, g in zip(node.inputs, in_grads):
             if g is None or edge is None:
                 continue
-            g = np.asarray(g, dtype=edge.dtype)
             if g.shape != edge.shape:
                 g = g.reshape(edge.shape)
             key = id(edge)

@@ -557,14 +557,12 @@ def reference_backward(loss):
     grads = {id(loss.node): np.ones_like(loss.data)}
     leaves = {}
     for node in nodes:
-        node.consumed = True
         gout = grads.get(id(node))
         if gout is None:
             continue
         for edge, g in zip(node.inputs, node.backward_fn(gout)):
             if g is None or edge is None:
                 continue
-            g = np.asarray(g, dtype=edge.dtype)
             if g.shape != edge.shape:
                 g = g.reshape(edge.shape)
             key = id(edge)
