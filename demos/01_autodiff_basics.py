@@ -5,19 +5,21 @@ Run from the repository root:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from cbce import Tensor, backward, grad_check
-from cbce.tensor import GraphConsumedError, matmul, mul, record_op, softmax, tsum
+from cbce.tensor import GraphConsumedError, linear, mul, record_op, tanh, tsum
 
 print("== building a small graph ==")
-a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-b = Tensor([[0.5], [-1.0]], requires_grad=True)
-scores = matmul(a, b)                      # (2, 1)
-probs = softmax(tsum(scores, axis=1), scale=1.0)
-loss = tsum(mul(probs, Tensor([1.0, 0.0])))
-print(f"scores {scores.data.ravel()}, probs {probs.data}, loss {loss.item():.4f}")
+x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+w = Tensor([[0.5], [-1.0]], requires_grad=True)
+b = Tensor([0.25], requires_grad=True)
+scores = linear(x, w, b)                   # (2, 1): x @ w + b as one node
+act = tanh(scores)
+loss = tsum(mul(act, Tensor([[1.0], [0.0]])))
+print(f"scores {scores.data.ravel()}, tanh {act.data.ravel()}, loss {loss.item():.4f}")
 
 backward(loss)
-print("d loss / d a =\n", a.grad)
-print("d loss / d b =\n", b.grad)
+print("d loss / d x =\n", x.grad)
+print("d loss / d w =\n", w.grad)
+print("d loss / d b =", b.grad)
 
 print("\n== one backward pass per recording ==")
 x = Tensor(np.ones(3), requires_grad=True)
@@ -32,8 +34,9 @@ print("\n== central-difference gradient checking ==")
 r = np.random.default_rng(0)
 m = Tensor(r.standard_normal((3, 4)), requires_grad=True)
 n = Tensor(r.standard_normal((4, 2)), requires_grad=True)
-report = grad_check(lambda m, n: matmul(m, n), [m, n], tol=1e-5)
-print(f"matmul: max relative error {report.max_rel_error:.2e} over "
+c = Tensor(r.standard_normal(2), requires_grad=True)
+report = grad_check(lambda m, n, c: tanh(linear(m, n, c)), [m, n, c], tol=1e-5)
+print(f"tanh(linear): max relative error {report.max_rel_error:.2e} over "
       f"{report.checked} coordinates -> {'pass' if report.passed else 'FAIL'}")
 
 print("\n== a deliberately wrong backward rule is caught ==")

@@ -16,18 +16,7 @@ import numpy as np
 
 from . import init
 from .encoders import TAPS
-from .tensor import (
-    Tensor,
-    add,
-    concat,
-    l2_normalize,
-    linear,
-    matmul,
-    mul,
-    reshape,
-    sigmoid,
-    softmax,
-)
+from .tensor import Tensor, attend_pool, gate_aggregate
 
 
 @dataclass
@@ -57,19 +46,9 @@ class Vlm:
         self.b_out = init.zeros((c_l,))
 
     def forward(self, lang: Tensor, fused: Tensor, return_attention: bool = False):
-        h, w, c_v = fused.shape
-        hw = h * w
-        # flat feeds phi and the pooling, so it stays one node (see linear)
-        flat = reshape(fused, (hw, c_v))
-        phi = linear(flat, self.w_phi, self.b_phi)  # (HW, C_v)
-        theta = linear(lang, self.w_theta, self.b_theta)  # (C_v,)
-        scores = matmul(phi, reshape(theta, (c_v, 1)))  # (HW, 1)
-        attn = softmax(reshape(scores, (hw,)), scale=float(np.sqrt(c_v)))
-        pooled = matmul(reshape(attn, (1, hw)), flat)  # (1, C_v)
-        merged = concat([reshape(lang, (1, lang.size)), pooled], axis=1)
-        out = linear(merged, self.w_out, self.b_out)
-        out = l2_normalize(reshape(out, (out.size,)))
-        return (out, attn) if return_attention else out
+        out, attn = attend_pool(lang, fused, self.w_theta, self.b_theta, self.w_phi,
+                                self.b_phi, self.w_out, self.b_out)
+        return (out, Tensor(attn)) if return_attention else out
 
     def parameters(self):
         for name in ("w_theta", "b_theta", "w_phi", "b_phi", "w_out", "b_out"):
@@ -97,14 +76,8 @@ class Lvm:
         missing = {self.target, *self.sources} - set(feats)
         if missing:
             raise ValueError(f"missing fused maps for levels {sorted(missing)}")
-        out = feats[self.target]
-        c_v = out.shape[2]
-        # row feeds every gate, so it stays one node (see linear)
-        row = reshape(lang, (1, lang.size))
-        for src in self.sources:
-            gate = sigmoid(linear(row, *self.gates[src]))  # (1, C_v)
-            out = add(out, mul(reshape(gate, (1, 1, c_v)), feats[src]))
-        return out
+        return gate_aggregate(lang, feats[self.target], [feats[s] for s in self.sources],
+                              [self.gates[s] for s in self.sources])
 
     def parameters(self):
         for src in self.sources:

@@ -116,18 +116,9 @@ def _rt(rng, *shape, scale=1.0):
 def standard_op_suite() -> dict:
     """name -> builder(rng) returning (fn, inputs) for grad_check."""
 
-    def add_entry(rng):
-        a, b = _rt(rng, 3, 4), _rt(rng, 1, 4)
-        return (lambda a, b: T.add(a, b)), [a, b]
-
     def mul_entry(rng):
         a, b = _rt(rng, 2, 3, 4), _rt(rng, 1, 1, 4)
         return (lambda a, b: T.mul(a, b)), [a, b]
-
-    def matmul_entry(rng):
-        m, k, n = rng.integers(2, 5, size=3)
-        a, b = _rt(rng, m, k), _rt(rng, k, n)
-        return (lambda a, b: T.matmul(a, b)), [a, b]
 
     def linear_entry(rng):
         x, w, b = _rt(rng, 2, 3, 4), _rt(rng, 4, 5), _rt(rng, 5)
@@ -151,22 +142,26 @@ def standard_op_suite() -> dict:
         a.data += 0.25 * np.sign(a.data)
         return (lambda a: T.relu(a)), [a]
 
-    def sigmoid_entry(rng):
-        a = _rt(rng, 3, 3)
-        return (lambda a: T.sigmoid(a)), [a]
-
     def tanh_entry(rng):
         a = _rt(rng, 3, 3)
         return (lambda a: T.tanh(a)), [a]
 
-    def softmax_entry(rng):
-        n = int(rng.integers(2, 8))
-        a = _rt(rng, n)
-        return (lambda a: T.softmax(a, scale=float(np.sqrt(n)))), [a]
+    def attend_pool_entry(rng):
+        c_l, c_v = 3, 4
+        lang, fused = _rt(rng, c_l), _rt(rng, 2, 3, c_v)
+        params = [_rt(rng, c_l, c_v), _rt(rng, c_v), _rt(rng, c_v, c_v), _rt(rng, c_v),
+                  _rt(rng, c_l + c_v, c_l), _rt(rng, c_l)]
+        return (lambda *args: T.attend_pool(*args)[0]), [lang, fused, *params]
 
-    def l2n_entry(rng):
-        a = _rt(rng, 6)
-        return (lambda a: T.l2_normalize(a)), [a]
+    def gate_aggregate_entry(rng):
+        c_l, c_v = 3, 4
+        lang, target, f1, f2 = _rt(rng, c_l), *(_rt(rng, 2, 3, c_v) for _ in range(3))
+        w1, b1, w2, b2 = _rt(rng, c_l, c_v), _rt(rng, c_v), _rt(rng, c_l, c_v), _rt(rng, c_v)
+
+        def fn(lang, target, f1, f2, w1, b1, w2, b2):
+            return T.gate_aggregate(lang, target, [f1, f2], [(w1, b1), (w2, b2)])
+
+        return fn, [lang, target, f1, f2, w1, b1, w2, b2]
 
     def lstm_entry(rng):
         c = 3
@@ -215,18 +210,15 @@ def standard_op_suite() -> dict:
         return (lambda x: convops.bilinear_upsample(x, 3, 3)), [x]
 
     return {
-        "add": add_entry,
         "mul": mul_entry,
-        "matmul": matmul_entry,
         "linear": linear_entry,
         "reshape": reshape_entry,
         "concat": concat_entry,
         "sum": sum_entry,
         "relu": relu_entry,
-        "sigmoid": sigmoid_entry,
         "tanh": tanh_entry,
-        "softmax": softmax_entry,
-        "l2_normalize": l2n_entry,
+        "attend_pool": attend_pool_entry,
+        "gate_aggregate": gate_aggregate_entry,
         "lstm_phrases": lstm_entry,
         "bce_with_logits_sum": bce_entry,
         "conv2d": conv_entry,

@@ -4,11 +4,14 @@ The engine is deliberately small: row-major numpy buffers, one recorded
 node per differentiable operation, and a single backward pass per
 recording. Only the operations the segmentation network actually needs
 exist; there is no broadcasting magic beyond what numpy provides and
-what the backward rules undo. Two fused ops stand in for chains of
+what the backward rules undo. Four fused ops stand in for chains of
 small ones and are bit-identical to recording those ops one by one:
 ``linear`` is every dense projection (reshape, matmul, bias add,
-reshape back) as one node, and ``lstm_phrases`` is the phrase encoder
-(lookup, LSTM and max-pool over the whole phrase set).
+reshape back) as one node, ``lstm_phrases`` is the phrase encoder
+(lookup, LSTM and max-pool over the whole phrase set), and
+``attend_pool`` and ``gate_aggregate`` are the two updates of one
+interaction round (attention pooling into the language vector, and the
+language-gated sum of the other levels' maps).
 
 ``backward(loss)`` runs the rules of the nodes reachable from the loss
 newest first, freeing each rule (with the arrays it saved) and its
@@ -125,6 +128,11 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype), requires_grad=False)
 
 
+def _check_finite(data: np.ndarray, op: str) -> None:
+    if not np.isfinite(data).all():
+        raise NumericError(f"non-finite values produced by op '{op}'")
+
+
 def record_op(op: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     """Wrap a forward result in a Tensor and record its backward rule.
 
@@ -132,8 +140,7 @@ def record_op(op: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     per input, aligned with ``inputs``. Extension point for custom ops;
     the non-finite check applies here so no op can skip it.
     """
-    if not np.isfinite(out_data).all():
-        raise NumericError(f"non-finite values produced by op '{op}'")
+    _check_finite(out_data, op)
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
@@ -209,17 +216,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise and linear-algebra operations
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    out = a.data + b.data
-    sa, sb = a.shape, b.shape
-
-    def bwd(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
-
-    return record_op("add", out, (a, b), bwd)
-
-
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     b = _as_tensor(b, a.dtype)
@@ -230,19 +226,6 @@ def mul(a: Tensor, b) -> Tensor:
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return record_op("mul", out, (a, b), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-D matrix product; dA = dC.Bt, dB = At.dC."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (M,K) x (K,N), got {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad @ bd
-
-    def bwd(g):
-        return g @ bd.T, ad.T @ g
-
-    return record_op("matmul", out, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -317,12 +300,6 @@ def relu(a: Tensor) -> Tensor:
     return record_op("relu", a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    """Numerically stable logistic; output strictly inside (0, 1)."""
-    y = _sigmoid(a.data)
-    return record_op("sigmoid", y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     t = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
@@ -333,40 +310,7 @@ def tanh(a: Tensor) -> Tensor:
     return record_op("tanh", y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
-def softmax(a: Tensor, scale: float = 1.0) -> Tensor:
-    """Softmax(a / scale) over a 1-D tensor, max-subtracted before exp."""
-    if a.ndim != 1:
-        raise ShapeError(f"softmax expects a vector, got shape {a.shape}")
-    if a.size < 1:
-        raise ShapeError("softmax on empty vector")
-    if scale <= 0:
-        raise ValueError(f"softmax scale must be positive, got {scale}")
-    z = a.data / scale
-    z = z - z.max()
-    e = np.exp(z)
-    y = e / e.sum()
-
-    def bwd(g):
-        return ((y * (g - np.dot(g, y))) / scale,)
-
-    return record_op("softmax", y, (a,), bwd)
-
-
 L2_EPS = 1e-12
-
-
-def l2_normalize(a: Tensor) -> Tensor:
-    """x / sqrt(|x|^2 + eps); survives zero vectors, unit norm otherwise."""
-    if a.ndim != 1:
-        raise ShapeError(f"l2_normalize expects a vector, got shape {a.shape}")
-    x = a.data
-    inv = 1.0 / np.sqrt(np.dot(x, x) + L2_EPS)
-    y = x * inv
-
-    def bwd(g):
-        return (g * inv - x * (np.dot(x, g) * inv**3),)
-
-    return record_op("l2_normalize", y, (a,), bwd)
 
 
 def lstm_phrases(embedding: Tensor, wx, wh, b, ids, lengths) -> Tensor:
@@ -402,8 +346,7 @@ def lstm_phrases(embedding: Tensor, wx, wh, b, ids, lengths) -> Tensor:
             for k in range(4):
                 pre = (x @ wxs[k] + h @ whs[k]) + bs[k]
                 # sigmoid would squash an overflowed pre-activation to a finite value
-                if not np.isfinite(pre).all():
-                    raise NumericError("non-finite values produced by op 'lstm_phrases'")
+                _check_finite(pre, "lstm_phrases")
                 acts.append(np.tanh(pre) if k == 2 else _sigmoid(pre))
             i, f, g, o = acts
             cell_prev, cell = cell, f * cell + i * g
@@ -457,6 +400,90 @@ def lstm_phrases(embedding: Tensor, wx, wh, b, ids, lengths) -> Tensor:
                 *(db[s] for s in gate_slices))
 
     return record_op("lstm_phrases", out, (embedding, *wx, *wh, *b), bwd)
+
+
+def attend_pool(lang: Tensor, fused: Tensor, w_theta, b_theta, w_phi, b_phi, w_out, b_out):
+    """Vision-guided language update as one node.
+
+    Scores each position of the (H, W, C_v) map by ``phi(x) . theta(lang)
+    / sqrt(C_v)``, pools the map with the softmax of the scores, projects
+    ``[lang, pooled]`` back to C_l and L2-normalizes it. Returns the new
+    (C_l,) language vector and the (HW,) attention row as an array.
+
+    Bit-identical to recording the reshapes, the three ``linear``s, the
+    two matmuls, the softmax, the concat and the normalization as
+    separate ops: every product keeps their shapes. The map's two
+    gradient terms sum inside the node, pooling term first; ``lang``
+    sits twice in the inputs, concat term first, so the engine folds
+    its terms as it folded theirs.
+    """
+    h, w, c_v = fused.shape
+    c_l, hw, scale = lang.shape[0], h * w, float(np.sqrt(c_v))
+    flat, row = fused.data.reshape(hw, c_v), lang.data.reshape(1, c_l)
+    phi = flat @ w_phi.data + b_phi.data
+    theta = (row @ w_theta.data + b_theta.data).reshape(c_v, 1)
+    scores = phi @ theta
+    _check_finite(scores, "attend_pool")  # the softmax would weight a -inf score 0
+    z = scores.reshape(hw) / scale
+    z = z - z.max()
+    e = np.exp(z)
+    attn = e / e.sum()
+    attn_row = attn.reshape(1, hw)
+    merged = np.concatenate([row, attn_row @ flat], axis=1)
+    x = (merged @ w_out.data + b_out.data).reshape(c_l)
+    _check_finite(x, "attend_pool")
+    inv = 1.0 / np.sqrt(np.dot(x, x) + L2_EPS)
+
+    def bwd(g):
+        g_out = (g * inv - x * (np.dot(x, g) * inv**3)).reshape(1, c_l)
+        d_row, d_pooled = np.split(g_out @ w_out.data.T, [c_l], axis=1)
+        d_attn = (d_pooled @ flat.T).reshape(hw)
+        d_scores = ((attn * (d_attn - np.dot(d_attn, attn))) / scale).reshape(hw, 1)
+        d_phi = d_scores @ theta.T
+        d_theta = (phi.T @ d_scores).reshape(1, c_v)
+        d_flat = attn_row.T @ d_pooled + d_phi @ w_phi.data.T
+        return (d_row.reshape(c_l), d_flat.reshape(h, w, c_v),
+                row.T @ d_theta, d_theta.sum(axis=0), flat.T @ d_phi, d_phi.sum(axis=0),
+                merged.T @ g_out, g_out.sum(axis=0), (d_theta @ w_theta.data.T).reshape(c_l))
+
+    inputs = (lang, fused, w_theta, b_theta, w_phi, b_phi, w_out, b_out, lang)
+    return record_op("attend_pool", x * inv, inputs, bwd), attn
+
+
+def gate_aggregate(lang: Tensor, target: Tensor, sources, gates) -> Tensor:
+    """Language-gated residual sum as one node:
+    ``target + sum_k sigmoid(lang @ w_k + b_k) * sources[k]``.
+
+    ``gates`` holds one (w (C_l, C_v), b (C_v,)) pair per source map; each
+    gate is a (C_v,) vector broadcast over the (H, W, C_v) maps. The maps
+    must be distinct tensors. Bit-identical to recording each gate's
+    ``linear``, sigmoid, reshape, mul and add as separate ops: every gate
+    keeps its own (1, C_l) x (C_l, C_v) product, and backward folds the
+    gates' ``lang`` terms last gate first, as the engine did.
+    """
+    c_l = lang.shape[0]
+    row = lang.data.reshape(1, c_l)
+    out, ys = target.data, []
+    for src, (w, b) in zip(sources, gates):
+        pre = row @ w.data + b.data
+        _check_finite(pre, "gate_aggregate")  # the sigmoid would squash an overflow
+        ys.append(_sigmoid(pre))
+        out = out + ys[-1].reshape(1, 1, -1) * src.data
+    terms = [(src.data, y, w.data) for src, y, (w, _) in zip(sources, ys, gates)]
+
+    def bwd(g):
+        d_row, d_maps, d_params = None, [], []
+        for f, y, w in reversed(terms):
+            y3 = y.reshape(1, 1, -1)
+            d_maps.insert(0, g * y3)
+            d_pre = _unbroadcast(g * f, y3.shape).reshape(y.shape) * y * (1.0 - y)
+            d_params[:0] = (row.T @ d_pre, d_pre.sum(axis=0))
+            d_term = d_pre @ w.T
+            d_row = d_term if d_row is None else d_row + d_term
+        return (d_row.reshape(c_l), g, *d_maps, *d_params)
+
+    params = (t for pair in gates for t in pair)
+    return record_op("gate_aggregate", out, (lang, target, *sources, *params), bwd)
 
 
 def bce_with_logits_sum(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -1,10 +1,20 @@
 """Cyclic interaction: attention update, gated aggregation, schedule."""
+import dataclasses
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from per_op import reference_lvm, reference_vlm
 
+from cbce.checkpoint import load_checkpoint
 from cbce.cim import Cim, Lvm, Vlm
+from cbce.datakit import synth_generate
+from cbce.encoders import TAPS
 from cbce.gradcheck import grad_check
-from cbce.tensor import Tensor
+from cbce.tensor import NumericError, Tensor, backward, concat, mul, reshape, tsum
+from cbce.train import load_config, train
 
 
 def _rng(seed):
@@ -220,3 +230,101 @@ def test_cim_validates_rounds_cycles_levels():
         cim.forward(lang0, fused0, cycles=0)
     with pytest.raises(ValueError):
         cim.forward(lang0, {3: fused0[3]}, cycles=1)
+
+
+# ---------------------------------------------------------------------------
+# the fused Vlm and Lvm against the per-op recording they replaced
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    h=st.integers(1, 4),
+    w=st.integers(1, 4),
+    c_l=st.integers(1, 9),
+    c_v=st.integers(1, 9),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_cim_bit_identical_to_per_op_recording(h, w, c_l, c_v, dtype, seed):
+    # two rounds and two cycles: lang0 feeds three Vlms, later language
+    # vectors feed a Vlm and an Lvm each, and cycles reuse the parameters
+    rng = _rng(seed)
+    cim = Cim(c_l=c_l, c_v=c_v, rounds=2, rng=rng)
+    params = [t for _, t in cim.parameters()]
+    for t in params:  # spread the values so gates leave their linear range
+        t.data = rng.standard_normal(t.shape).astype(dtype)
+    lang0 = Tensor(rng.standard_normal(c_l).astype(dtype), requires_grad=True)
+    fused0 = {i: Tensor(rng.standard_normal((h, w, c_v)).astype(dtype), requires_grad=True)
+              for i in TAPS}
+    inputs = [lang0, *fused0.values(), *params]
+    projs = [Tensor(rng.standard_normal(s).astype(dtype)) for s in [(c_l,)] * 3 + [(h, w, c_v)] * 3]
+    results = []
+    for vlm_forward, lvm_forward in ((reference_vlm, reference_lvm), (Vlm.forward, Lvm.forward)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Vlm, "forward", vlm_forward)
+            mp.setattr(Lvm, "forward", lvm_forward)
+            state = cim.forward(lang0, fused0, cycles=2)
+        outs = [state.lang[i] for i in TAPS] + [state.fused[i] for i in TAPS]
+        backward(tsum(concat([reshape(mul(o, p), (-1,)) for o, p in zip(outs, projs)], axis=0)))
+        results.append(([o.data for o in outs], [t.grad for t in inputs]))
+        for t in inputs:
+            t.grad = None
+    (ref_outs, ref_grads), (outs, grads) = results
+    for out, ref in zip(outs, ref_outs):
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, ref)
+    for k, (g, ref) in enumerate(zip(grads, ref_grads)):
+        assert g.dtype == dtype, k
+        np.testing.assert_array_equal(g, ref, err_msg=str(k))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fused_cim_training_bit_identical(dtype, tmp_path, monkeypatch):
+    # three toy-scale steps: loss, parameters and Adam moments all bit-equal
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json"))
+    cfg = dataclasses.replace(
+        cfg, max_steps=3, model=dataclasses.replace(cfg.model, dtype=dtype),
+        synth=dataclasses.replace(cfg.synth, samples=8),
+    )
+    synth_generate(cfg.synth, tmp_path / "data")
+    fused = train(cfg, tmp_path / "data", tmp_path / "fused")
+    monkeypatch.setattr(Vlm, "forward", reference_vlm)
+    monkeypatch.setattr(Lvm, "forward", reference_lvm)
+    ref = train(cfg, tmp_path / "data", tmp_path / "ref")
+    assert fused.losses == ref.losses and len(ref.losses) == 3
+    a, b = load_checkpoint(fused.checkpoint_path), load_checkpoint(ref.checkpoint_path)
+    for field in ("params", "adam_m", "adam_v"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=f"{field} {name}")
+
+
+def test_fused_ops_raise_where_the_per_op_recording_raised():
+    # a -inf score would get attention weight 0 and an overflowed gate
+    # pre-activation would squash to 1, leaving each output finite; the
+    # per-op recording raised on them, and so does the fused op
+    scored = Vlm(c_l=2, c_v=2, rng=_rng(20))
+    scored.w_theta.data[:] = -1e200 * np.eye(2)
+    scored.w_phi.data[:] = np.eye(2)
+    fused = np.zeros((2, 1, 2))
+    fused[0, 0] = 1e200  # scores -inf here and 0 at the other position
+    projected = Vlm(c_l=2, c_v=2, rng=_rng(21))
+    projected.w_out.data[:] = 1e308
+    gated = Lvm(3, c_l=2, c_v=2, rng=_rng(22))
+    gated.gates[4][0].data[:] = 1e200
+    feats = {i: Tensor(np.ones((2, 2, 2))) for i in TAPS}
+    cases = [  # (fused forward, per-op forward, arguments, op each names)
+        (Vlm.forward, reference_vlm, (scored, Tensor(np.ones(2)), Tensor(fused)),
+         "attend_pool", "matmul"),
+        (Vlm.forward, reference_vlm, (projected, Tensor(np.ones(2)), Tensor(np.ones((2, 2, 2)))),
+         "attend_pool", "linear"),
+        (Lvm.forward, reference_lvm, (gated, Tensor(np.full(2, 1e200)), feats),
+         "gate_aggregate", "linear"),
+    ]
+    for fused_forward, per_op_forward, args, fused_op, per_op in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=f"'{per_op}'"):
+                per_op_forward(*args)
+            with pytest.raises(NumericError, match=f"'{fused_op}'"):
+                fused_forward(*args)

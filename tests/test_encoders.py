@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from per_op import reference_lstm
 
 from cbce import tensor as T
 from cbce.checkpoint import load_checkpoint
@@ -140,54 +141,6 @@ def test_all_parameters_receive_gradient_end_to_end():
 # the fused phrase LSTM against the per-op recording it replaced
 
 
-def _ref_gather_rows(table, ids):
-    def bwd(g):
-        dt = np.zeros(table.shape, dtype=g.dtype)
-        np.add.at(dt, ids, g)
-        return (dt,)
-
-    return T.record_op("gather_rows", table.data[ids], (table,), bwd)
-
-
-def _ref_narrow_row(a, t):
-    def bwd(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
-        full[t : t + 1] = g
-        return (full,)
-
-    return T.record_op("narrow", a.data[t : t + 1].copy(), (a,), bwd)
-
-
-def _ref_max(feats):
-    stacked = np.stack([f.data for f in feats], axis=0)
-    winner = stacked.argmax(axis=0)
-    return T.record_op("elementwise_max", stacked.max(axis=0), tuple(feats),
-                       lambda g: tuple(g * (winner == i) for i in range(len(feats))))
-
-
-def reference_forward(enc, phrases):
-    """The phrase encoder as one recorded op per lookup, gate, step and max."""
-
-    def gate(name, x, h):
-        pre = T.add(T.add(T.matmul(x, enc.wx[name]), T.matmul(h, enc.wh[name])), enc.b[name])
-        return T.tanh(pre) if name == "g" else T.sigmoid(pre)
-
-    c_l = enc.embedding.shape[1]
-    feats = []
-    for p in range(phrases.n):
-        ids = phrases.ids[p, : phrases.lengths[p]]
-        emb = _ref_gather_rows(enc.embedding, ids)
-        h = Tensor(np.zeros((1, c_l), dtype=enc.embedding.dtype))
-        c = Tensor(np.zeros((1, c_l), dtype=enc.embedding.dtype))
-        for t in range(ids.size):
-            x = _ref_narrow_row(emb, t)
-            i, f, g, o = (gate(name, x, h) for name in enc.GATES)
-            c = T.add(T.mul(f, c), T.mul(i, g))
-            h = T.mul(o, T.tanh(c))
-        feats.append(T.reshape(h, (c_l,)))
-    return _ref_max(feats)
-
-
 def _phrase_set(rows, vocab_size):
     ids = np.zeros((len(rows), max(len(r) for r in rows)), dtype=np.int64)
     for p, r in enumerate(rows):
@@ -204,7 +157,7 @@ def _assert_fused_equals_reference(rows, vocab_size, c_l, dtype, seed):
     phrases = _phrase_set(rows, vocab_size)
     proj = Tensor(rng.standard_normal(c_l).astype(dtype))
     results = []
-    for forward in (reference_forward, PhraseEncoder.forward):
+    for forward in (reference_lstm, PhraseEncoder.forward):
         out = forward(enc, phrases)
         backward(tsum(T.mul(out, proj)))
         results.append((out.data, [t.grad for t in params]))
@@ -255,7 +208,7 @@ def test_fused_lstm_training_bit_identical(dtype, tmp_path, monkeypatch):
     )
     synth_generate(cfg.synth, tmp_path / "data")
     fused = train(cfg, tmp_path / "data", tmp_path / "fused")
-    monkeypatch.setattr(PhraseEncoder, "forward", reference_forward)
+    monkeypatch.setattr(PhraseEncoder, "forward", reference_lstm)
     ref = train(cfg, tmp_path / "data", tmp_path / "ref")
     assert fused.losses == ref.losses and len(ref.losses) == 3
     a, b = load_checkpoint(fused.checkpoint_path), load_checkpoint(ref.checkpoint_path)

@@ -9,7 +9,7 @@ from cbce.checkpoint import load_checkpoint
 from cbce.datakit import SynthConfig, synth_generate
 from cbce.model import ModelConfig
 from cbce.optim import AdamState, adam_step, poly_lr
-from cbce.tensor import Tensor, add, backward, record_op, tsum
+from cbce.tensor import Tensor, backward, concat, record_op, tsum
 from cbce.train import TrainConfig, train
 
 
@@ -183,7 +183,7 @@ def test_promoting_rule_is_refused_by_name():
     state = AdamState.for_params(params)
     p0, p1 = params.values()
     promoted = record_op("promote", p1.data * 2, (p1,), lambda g: (g.astype(np.float64) * 2,))
-    backward(add(tsum(p0), tsum(promoted)))
+    backward(tsum(concat([p0, promoted], axis=0)))
     assert p0.grad.dtype == np.float32 and p1.grad.dtype == np.float64
     with pytest.raises(ValueError, match="float64 differs from parameter 'p1' dtype float32"):
         adam_step(params, state, lr=0.1)

@@ -476,9 +476,9 @@ def test_cli_unknown_config_key_is_a_validation_error(tmp_path, capsys, section,
 
 
 def test_cli_gradcheck_smoke(capsys):
-    assert main(["gradcheck", "--op", "matmul", "--op", "softmax", "--seeds", "3"]) == 0
+    assert main(["gradcheck", "--op", "attend_pool", "--op", "gate_aggregate", "--seeds", "3"]) == 0
     out = capsys.readouterr().out
-    assert "matmul" in out and "softmax" in out
+    assert "attend_pool" in out and "gate_aggregate" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -541,10 +541,10 @@ def test_cli_numeric_failure_exits_2(monkeypatch, capsys):
     from cbce.gradcheck import GradCheckReport
 
     def fake_suite(**kwargs):
-        return [GradCheckReport(label="matmul", max_rel_error=1.0, tol=1e-4, checked=5)]
+        return [GradCheckReport(label="linear", max_rel_error=1.0, tol=1e-4, checked=5)]
 
     monkeypatch.setattr("cbce.gradcheck.run_suite", fake_suite)
-    assert main(["gradcheck", "--op", "matmul", "--seeds", "1"]) == 2
+    assert main(["gradcheck", "--op", "linear", "--seeds", "1"]) == 2
     capsys.readouterr()
 
 
