@@ -154,14 +154,10 @@ def standard_op_suite() -> dict:
         return (lambda *args: T.attend_pool(*args)[0]), [lang, fused, *params]
 
     def gate_aggregate_entry(rng):
-        c_l, c_v = 3, 4
-        lang, target, f1, f2 = _rt(rng, c_l), *(_rt(rng, 2, 3, c_v) for _ in range(3))
-        w1, b1, w2, b2 = _rt(rng, c_l, c_v), _rt(rng, c_v), _rt(rng, c_l, c_v), _rt(rng, c_v)
-
-        def fn(lang, target, f1, f2, w1, b1, w2, b2):
-            return T.gate_aggregate(lang, target, [f1, f2], [(w1, b1), (w2, b2)])
-
-        return fn, [lang, target, f1, f2, w1, b1, w2, b2]
+        lang, target, *sources = _rt(rng, 3), *(_rt(rng, 2, 3, 4) for _ in range(3))
+        gates = [(_rt(rng, 3, 4), _rt(rng, 4)) for _ in sources]
+        inputs = [lang, target, *sources, *(t for pair in gates for t in pair)]
+        return (lambda *_: T.gate_aggregate(lang, target, sources, gates)), inputs
 
     def lstm_entry(rng):
         c = 3
