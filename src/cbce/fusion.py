@@ -1,6 +1,6 @@
 """Initial multimodal fusion: low-rank bilinear pooling of each visual
-level with the global language vector, concatenated with an 8-D spatial
-coordinate grid.
+level with the global language vector (one ``tensor.bilinear_fuse``
+node per level), concatenated with an 8-D spatial coordinate grid.
 """
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import init
-from .tensor import Tensor, concat, linear, mul, reshape, tanh
+from .tensor import Tensor, bilinear_fuse, concat
 
 
 @lru_cache(maxsize=32)
@@ -60,12 +60,7 @@ class BilinearFusion:
         self.bo = init.zeros((c_f,))
 
     def forward(self, visual: Tensor, lang: Tensor) -> Tensor:
-        h, w, c_i = visual.shape
-        # v stays (HW, rank), so mul sums the gradient of l over one axis
-        v = linear(reshape(visual, (h * w, c_i)), self.wv, self.bv)
-        l = linear(lang, self.wl, self.bl)
-        joint = tanh(linear(mul(v, l), self.wo, self.bo))  # (HW, rank) * (rank,) broadcast
-        return reshape(joint, (h, w, self.wo.shape[1]))
+        return bilinear_fuse(visual, lang, self.wv, self.bv, self.wl, self.bl, self.wo, self.bo)
 
     def parameters(self):
         for name in ("wv", "bv", "wl", "bl", "wo", "bo"):

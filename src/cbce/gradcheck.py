@@ -2,7 +2,8 @@
 
 ``grad_check`` compares analytic gradients against (f(x+h) - f(x-h)) / 2h
 coordinate by coordinate. Non-scalar outputs are reduced with a fixed
-random projection so one scalar drives both sides of the comparison.
+random projection (a ``linear`` of the flattened output) so one scalar
+drives both sides of the comparison.
 
 ``standard_op_suite`` enumerates every differentiable operation with
 randomized small shapes; ``micro_pipeline_entry`` wires the attention ->
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convops, tensor as T
-from .tensor import Tensor, backward, mul, tsum
+from .tensor import Tensor, backward, linear, reshape
 
 
 @dataclass
@@ -56,16 +57,15 @@ def grad_check(
     second = f(*inputs)
     if not np.array_equal(first.data, second.data):
         raise RuntimeError("grad_check: function is non-deterministic (re-evaluation mismatch)")
-    proj = None
+    proj = zero = None
     if first.size != 1:
-        proj = rng.standard_normal(first.shape).astype(first.dtype)
+        proj = Tensor(rng.standard_normal(first.shape).astype(first.dtype).reshape(-1, 1))
+        zero = Tensor(np.zeros(1, dtype=first.dtype))
 
     def scalar_eval() -> Tensor:
         out = f(*inputs)
         if proj is not None:
-            out = tsum(mul(out, Tensor(proj)))
-        elif out.ndim > 0:
-            out = tsum(out)
+            out = linear(reshape(out, (1, -1)), proj, zero)
         return out
 
     for inp in inputs:
@@ -116,10 +116,6 @@ def _rt(rng, *shape, scale=1.0):
 def standard_op_suite() -> dict:
     """name -> builder(rng) returning (fn, inputs) for grad_check."""
 
-    def mul_entry(rng):
-        a, b = _rt(rng, 2, 3, 4), _rt(rng, 1, 1, 4)
-        return (lambda a, b: T.mul(a, b)), [a, b]
-
     def linear_entry(rng):
         x, w, b = _rt(rng, 2, 3, 4), _rt(rng, 4, 5), _rt(rng, 5)
         return (lambda x, w, b: T.linear(x, w, b)), [x, w, b]
@@ -132,19 +128,19 @@ def standard_op_suite() -> dict:
         a, b, c = _rt(rng, 2, 2), _rt(rng, 2, 3), _rt(rng, 2, 1)
         return (lambda a, b, c: T.concat([a, b, c], axis=1)), [a, b, c]
 
-    def sum_entry(rng):
-        a = _rt(rng, 3, 4)
-        return (lambda a: T.tsum(a, axis=1)), [a]
-
     def relu_entry(rng):
         a = _rt(rng, 4, 4)
         # keep pre-activations away from the kink so central differences hold
         a.data += 0.25 * np.sign(a.data)
         return (lambda a: T.relu(a)), [a]
 
-    def tanh_entry(rng):
-        a = _rt(rng, 3, 3)
-        return (lambda a: T.tanh(a)), [a]
+    def bilinear_fuse_entry(rng):
+        c_i, c_l, rank, c_f = 3, 2, 4, 3
+        visual, lang = _rt(rng, 2, 3, c_i), _rt(rng, c_l)
+        # half-scale weights keep third derivatives, the central difference's error, small
+        params = [_rt(rng, c_i, rank, scale=0.5), _rt(rng, rank), _rt(rng, c_l, rank, scale=0.5),
+                  _rt(rng, rank), _rt(rng, rank, c_f, scale=0.5), _rt(rng, c_f)]
+        return (lambda *args: T.bilinear_fuse(*args)), [visual, lang, *params]
 
     def attend_pool_entry(rng):
         c_l, c_v = 3, 4
@@ -206,13 +202,11 @@ def standard_op_suite() -> dict:
         return (lambda x: convops.bilinear_upsample(x, 3, 3)), [x]
 
     return {
-        "mul": mul_entry,
         "linear": linear_entry,
         "reshape": reshape_entry,
         "concat": concat_entry,
-        "sum": sum_entry,
         "relu": relu_entry,
-        "tanh": tanh_entry,
+        "bilinear_fuse": bilinear_fuse_entry,
         "attend_pool": attend_pool_entry,
         "gate_aggregate": gate_aggregate_entry,
         "lstm_phrases": lstm_entry,

@@ -32,6 +32,11 @@ class ModelConfig:
     backbone_channels: tuple = (8, 16, 32, 32, 32)
     dtype: str = "float64"
 
+    def __post_init__(self):
+        # any other precision would run against float64 images and gradients
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"model dtype must be 'float32' or 'float64', got {self.dtype!r}")
+
     @property
     def c_v(self) -> int:
         # fused width seen by the interaction rounds: bilinear output + 8 coords

@@ -4,12 +4,14 @@ The engine is deliberately small: row-major numpy buffers, one recorded
 node per differentiable operation, and a single backward pass per
 recording. Only the operations the segmentation network actually needs
 exist; there is no broadcasting magic beyond what numpy provides and
-what the backward rules undo. Four fused ops stand in for chains of
+what the backward rules undo. Five fused ops stand in for chains of
 small ones and are bit-identical to recording those ops one by one:
 ``linear`` is every dense projection (reshape, matmul, bias add,
 reshape back) as one node, ``lstm_phrases`` is the phrase encoder
-(lookup, LSTM and max-pool over the whole phrase set), and
-``attend_pool`` and ``gate_aggregate`` are the two updates of one
+(lookup, LSTM and max-pool over the whole phrase set),
+``bilinear_fuse`` is the low-rank bilinear pooling of one visual level
+with the phrase vector (three projections, their product and a tanh),
+and ``attend_pool`` and ``gate_aggregate`` are the two updates of one
 interaction round (attention pooling into the language vector, and the
 language-gated sum of the other levels' maps).
 
@@ -122,12 +124,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
 
 
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype), requires_grad=False)
-
-
 def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
@@ -216,18 +212,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise and linear-algebra operations
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product with numpy broadcasting."""
-    b = _as_tensor(b, a.dtype)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return record_op("mul", out, (a, b), bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map over the last axis, ``x @ w + b``, for any leading shape.
 
@@ -283,18 +267,6 @@ def concat(tensors, axis: int) -> Tensor:
     return record_op("concat", out, tuple(tensors), bwd)
 
 
-def tsum(a: Tensor, axis=None) -> Tensor:
-    out = a.data.sum(axis=axis)
-    shape = a.data.shape
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return record_op("sum", out, (a,), bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return record_op("relu", a.data * mask, (a,), lambda g: (g * mask,))
@@ -303,11 +275,6 @@ def relu(a: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     t = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return record_op("tanh", y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 L2_EPS = 1e-12
@@ -400,6 +367,40 @@ def lstm_phrases(embedding: Tensor, wx, wh, b, ids, lengths) -> Tensor:
                 *(db[s] for s in gate_slices))
 
     return record_op("lstm_phrases", out, (embedding, *wx, *wh, *b), bwd)
+
+
+def bilinear_fuse(visual: Tensor, lang: Tensor, wv, bv, wl, bl, wo, bo) -> Tensor:
+    """Rank-R Hadamard bilinear pooling as one node:
+    ``tanh(((x @ wv + bv) * (lang @ wl + bl)) @ wo + bo)`` at every
+    position x of the (H, W, C_i) map, returning (H, W, C_f).
+
+    Bit-identical to recording the reshape, the three ``linear``s, the
+    mul, the tanh and the reshape back as separate ops: every product
+    keeps their shapes, and backward runs their rules newest first.
+    ``lang`` sits once in the inputs, so the engine folds its terms
+    across levels in the order it folded the language ``linear``'s.
+    """
+    h, w, c_i = visual.shape
+    c_l, c_f = lang.shape[0], wo.shape[1]
+    flat, row = visual.data.reshape(h * w, c_i), lang.data.reshape(1, c_l)
+    v = flat @ wv.data + bv.data
+    l = (row @ wl.data + bl.data).reshape(-1)
+    m = v * l  # (HW, R) * (R,) broadcast
+    pre = m @ wo.data + bo.data
+    # a non-finite v, l or m leaves the sum non-finite, and tanh would squash an overflow
+    _check_finite(pre, "bilinear_fuse")
+    y = np.tanh(pre)
+
+    def bwd(g):
+        d_pre = g.reshape(h * w, c_f) * (1.0 - y * y)
+        d_m = d_pre @ wo.data.T
+        d_v, d_l = d_m * l, (d_m * v).sum(axis=0).reshape(1, -1)
+        return ((d_v @ wv.data.T).reshape(h, w, c_i), (d_l @ wl.data.T).reshape(c_l),
+                flat.T @ d_v, d_v.sum(axis=0), row.T @ d_l, d_l.sum(axis=0),
+                m.T @ d_pre, d_pre.sum(axis=0))
+
+    inputs = (visual, lang, wv, bv, wl, bl, wo, bo)
+    return record_op("bilinear_fuse", y.reshape(h, w, c_f), inputs, bwd)
 
 
 def attend_pool(lang: Tensor, fused: Tensor, w_theta, b_theta, w_phi, b_phi, w_out, b_out):

@@ -1,11 +1,12 @@
 """Per-op references: the recordings the fused engine ops replaced.
 
-``tensor.linear``, ``tensor.lstm_phrases``, ``tensor.attend_pool`` and
-``tensor.gate_aggregate`` are each proven bit-identical (outputs, every
-gradient and a few training steps) to the chains of one-node ops below.
-The small ops are recorded through ``tensor.record_op`` like any engine
-op, but the network no longer calls them, so they live here and not in
-the engine.
+``tensor.linear``, ``tensor.lstm_phrases``, ``tensor.bilinear_fuse``,
+``tensor.attend_pool`` and ``tensor.gate_aggregate`` are each proven
+bit-identical (outputs, every gradient and a few training steps) to the
+chains of one-node ops below. The small ops are recorded through
+``tensor.record_op`` like any engine op, but the network no longer
+calls them, so they live here and not in the engine. Tests also use
+``mul`` and ``tsum`` to reduce an output to a scalar loss.
 """
 import numpy as np
 
@@ -20,6 +21,32 @@ def add(a, b):
     sa, sb = a.shape, b.shape
     return T.record_op("add", a.data + b.data, (a, b),
                        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+
+
+def mul(a, b):
+    """Elementwise product with numpy broadcasting; a scalar ``b`` takes
+    ``a``'s dtype."""
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    ad, bd = a.data, b.data
+    return T.record_op("mul", ad * bd, (a, b),
+                       lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
+
+
+def tsum(a, axis=None):
+    shape = a.shape
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+
+    return T.record_op("sum", a.data.sum(axis=axis), (a,), bwd)
+
+
+def tanh(a):
+    y = np.tanh(a.data)
+    return T.record_op("tanh", y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def matmul(a, b):
@@ -92,7 +119,7 @@ def reference_lstm(enc, phrases):
 
     def gate(name, x, h):
         pre = add(add(matmul(x, enc.wx[name]), matmul(h, enc.wh[name])), enc.b[name])
-        return T.tanh(pre) if name == "g" else sigmoid(pre)
+        return tanh(pre) if name == "g" else sigmoid(pre)
 
     c_l = enc.embedding.shape[1]
     feats = []
@@ -104,10 +131,20 @@ def reference_lstm(enc, phrases):
         for t in range(ids.size):
             x = narrow_row(emb, t)
             i, f, g, o = (gate(name, x, h) for name in enc.GATES)
-            c = add(T.mul(f, c), T.mul(i, g))
-            h = T.mul(o, T.tanh(c))
+            c = add(mul(f, c), mul(i, g))
+            h = mul(o, tanh(c))
         feats.append(T.reshape(h, (c_l,)))
     return elementwise_max(feats)
+
+
+def reference_fusion(fuse, visual, lang):
+    """``BilinearFusion.forward`` as the 7 nodes ``bilinear_fuse`` fuses."""
+    h, w, c_i = visual.shape
+    # v stays (HW, rank), so mul sums the gradient of l over one axis
+    v = T.linear(T.reshape(visual, (h * w, c_i)), fuse.wv, fuse.bv)
+    l = T.linear(lang, fuse.wl, fuse.bl)
+    joint = tanh(T.linear(mul(v, l), fuse.wo, fuse.bo))  # (HW, rank) * (rank,) broadcast
+    return T.reshape(joint, (h, w, fuse.wo.shape[1]))
 
 
 def reference_vlm(vlm, lang, fused, return_attention=False):
@@ -133,5 +170,5 @@ def reference_lvm(lvm, lang, feats):
     row = T.reshape(lang, (1, lang.size))
     for src in lvm.sources:
         gate = sigmoid(T.linear(row, *lvm.gates[src]))
-        out = add(out, T.mul(T.reshape(gate, (1, 1, c_v)), feats[src]))
+        out = add(out, mul(T.reshape(gate, (1, 1, c_v)), feats[src]))
     return out

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from per_op import reference_lvm, reference_vlm
+from per_op import mul, reference_lvm, reference_vlm, tsum
 
 from cbce.checkpoint import load_checkpoint
 from cbce.cim import Cim, Lvm, Vlm
 from cbce.datakit import synth_generate
 from cbce.encoders import TAPS
 from cbce.gradcheck import grad_check
-from cbce.tensor import NumericError, Tensor, backward, concat, mul, reshape, tsum
+from cbce.tensor import NumericError, Tensor, backward, concat, reshape
 from cbce.train import load_config, train
 
 
@@ -213,8 +213,6 @@ def test_cim_full_gradient_check_micro():
         stacked = [state.fused[i] for i in (3, 4, 5)] + [
             state.lang[i] for i in (3, 4, 5)
         ]
-        from cbce.tensor import concat, reshape, tsum
-
         return tsum(concat([reshape(t, (t.size,)) for t in stacked], axis=0))
 
     rep = grad_check(fn, [lang0, *fused0.values(), *params],

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from per_op import reference_lstm
+from per_op import mul, reference_lstm, tsum
 
-from cbce import tensor as T
 from cbce.checkpoint import load_checkpoint
 from cbce.datakit import synth_generate
 from cbce.encoders import PhraseEncoder, PhraseSet, VisualEncoder, Vocabulary
 from cbce.gradcheck import grad_check
 from cbce.model import CbceNet, ModelConfig
-from cbce.tensor import Tensor, backward, tsum
+from cbce.tensor import Tensor, backward
 from cbce.train import load_config, train
 
 PHRASES = ["move by rotating", "spherical", "can roll", "outdoor activities"]
@@ -159,7 +158,7 @@ def _assert_fused_equals_reference(rows, vocab_size, c_l, dtype, seed):
     results = []
     for forward in (reference_lstm, PhraseEncoder.forward):
         out = forward(enc, phrases)
-        backward(tsum(T.mul(out, proj)))
+        backward(tsum(mul(out, proj)))
         results.append((out.data, [t.grad for t in params]))
         for t in params:
             t.grad = None

@@ -1,10 +1,20 @@
 """Coordinate grid and bilinear fusion behavior."""
+import dataclasses
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from per_op import mul, reference_fusion, tsum
 
+from cbce.checkpoint import load_checkpoint
+from cbce.datakit import synth_generate
+from cbce.encoders import TAPS
 from cbce.fusion import BilinearFusion, build_initial_fused, spatial_coords
 from cbce.gradcheck import grad_check
-from cbce.tensor import Tensor
+from cbce.tensor import NumericError, Tensor, backward, concat, reshape
+from cbce.train import load_config, train
 
 
 def test_coords_top_left_cell_at_minus_one():
@@ -125,3 +135,95 @@ def test_language_never_touches_coordinate_channels():
 def test_coords_reject_bad_sizes():
     with pytest.raises(ValueError):
         spatial_coords(0, 4)
+
+
+# ---------------------------------------------------------------------------
+# the fused bilinear pooling against the per-op recording it replaced
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    h=st.integers(1, 4),
+    w=st.integers(1, 4),
+    c_i=st.integers(1, 9),
+    c_l=st.integers(1, 9),
+    rank=st.integers(1, 9),
+    c_f=st.integers(1, 9),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_fusion_bit_identical_to_per_op_recording(h, w, c_i, c_l, rank, c_f, dtype, seed):
+    # one language vector feeds every level, as in the network
+    rng = np.random.default_rng(seed)
+    fusers = {i: BilinearFusion(c_i, c_l, c_f, rank, rng=rng) for i in TAPS}
+    params = [t for i in TAPS for _, t in fusers[i].parameters()]
+    for t in params:  # spread the values so the tanh leaves its linear range
+        t.data = rng.standard_normal(t.shape).astype(dtype)
+    lang = Tensor(rng.standard_normal(c_l).astype(dtype), requires_grad=True)
+    pyramid = {i: Tensor(rng.standard_normal((h, w, c_i)).astype(dtype), requires_grad=True)
+               for i in TAPS}
+    inputs = [lang, *pyramid.values(), *params]
+    projs = [Tensor(rng.standard_normal((h, w, c_f + 8)).astype(dtype)) for _ in TAPS]
+    results = []
+    for forward in (reference_fusion, BilinearFusion.forward):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(BilinearFusion, "forward", forward)
+            fused = build_initial_fused(pyramid, lang, fusers)
+        outs = [fused[i] for i in TAPS]
+        backward(tsum(concat([reshape(mul(o, p), (-1,)) for o, p in zip(outs, projs)], axis=0)))
+        results.append(([o.data for o in outs], [t.grad for t in inputs]))
+        for t in inputs:
+            t.grad = None
+    (ref_outs, ref_grads), (outs, grads) = results
+    for out, ref in zip(outs, ref_outs):
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, ref)
+    for k, (g, ref) in enumerate(zip(grads, ref_grads)):
+        assert g.dtype == dtype, k
+        np.testing.assert_array_equal(g, ref, err_msg=str(k))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fused_fusion_training_bit_identical(dtype, tmp_path, monkeypatch):
+    # three toy-scale steps: loss, parameters and Adam moments all bit-equal
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json"))
+    cfg = dataclasses.replace(
+        cfg, max_steps=3, model=dataclasses.replace(cfg.model, dtype=dtype),
+        synth=dataclasses.replace(cfg.synth, samples=8),
+    )
+    synth_generate(cfg.synth, tmp_path / "data")
+    fused = train(cfg, tmp_path / "data", tmp_path / "fused")
+    monkeypatch.setattr(BilinearFusion, "forward", reference_fusion)
+    ref = train(cfg, tmp_path / "data", tmp_path / "ref")
+    assert fused.losses == ref.losses and len(ref.losses) == 3
+    a, b = load_checkpoint(fused.checkpoint_path), load_checkpoint(ref.checkpoint_path)
+    for field in ("params", "adam_m", "adam_v"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=f"{field} {name}")
+
+
+def test_fused_fusion_raises_where_the_per_op_recording_raised():
+    # an overflowed pre-activation would squash to +-1 under the tanh,
+    # leaving the output finite; the per-op recording raised on it, and on
+    # a non-finite visual map, v, l or v * l, and so does the fused op
+    def fuser(**scaled):
+        fuse = BilinearFusion(c_i=2, c_l=2, c_f=2, rank=2, rng=np.random.default_rng(23))
+        for name, value in scaled.items():
+            getattr(fuse, name).data[:] = value
+        return fuse
+
+    ones, lang = Tensor(np.ones((2, 2, 2))), Tensor(np.ones(2))
+    cases = [  # (module, visual map, op the per-op recording names)
+        (fuser(wv=1.0, wl=1.0, wo=1e308), ones, "linear"),
+        (fuser(), Tensor(np.full((2, 2, 2), np.inf)), "reshape"),
+        (fuser(wv=1e200), Tensor(np.full((2, 2, 2), 1e200)), "linear"),
+        (fuser(wv=1e160, wl=1e160), ones, "mul"),
+    ]
+    for fuse, visual, per_op in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=f"'{per_op}'"):
+                reference_fusion(fuse, visual, lang)
+            with pytest.raises(NumericError, match="'bilinear_fuse'"):
+                fuse.forward(visual, lang)

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from per_op import matmul, softmax
+from per_op import matmul, mul, softmax, tsum
 
 from cbce import convops
 from cbce import tensor as T
@@ -50,9 +50,7 @@ def test_every_checked_op_has_a_network_caller(monkeypatch):
         fn, inputs = build(np.random.default_rng(0))
         fn(*inputs)
         checked[name] = set(kinds)
-    # `sum` is exempt: it is the checker's own reduction of a non-scalar
-    # output to the scalar that drives both sides of the comparison
-    uncalled = {name: ks - network for name, ks in checked.items() if ks - network - {"sum"}}
+    uncalled = {name: ks - network for name, ks in checked.items() if ks - network}
     assert uncalled == {}
     assert network <= set().union(*checked.values())
 
@@ -65,7 +63,7 @@ def test_every_op_keeps_float32(name):
         t.data = t.data.astype(np.float32)
     out = fn(*inputs)
     assert out.dtype == np.float32
-    backward(T.tsum(out))
+    backward(tsum(out))
     for i, t in enumerate(inputs):
         assert t.grad.dtype == np.float32, (name, i)
 
@@ -108,7 +106,7 @@ def test_nondeterministic_function_detected():
 
     def noisy(x):
         state["calls"] += 1
-        return T.mul(x, float(state["calls"]))
+        return mul(x, float(state["calls"]))
 
     with pytest.raises(RuntimeError, match="non-deterministic"):
         grad_check(noisy, [x])
@@ -117,6 +115,6 @@ def test_nondeterministic_function_detected():
 def test_coordinate_subsampling_counts():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((10, 10)), requires_grad=True)
-    rep = grad_check(lambda x: T.tsum(T.mul(x, x)), [x], max_coords_per_tensor=7)
+    rep = grad_check(lambda x: tsum(mul(x, x)), [x], max_coords_per_tensor=7)
     assert rep.checked == 7
     assert rep.passed

@@ -3,13 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from per_op import tsum
 
 import cbce.train as train_mod
 from cbce.checkpoint import load_checkpoint
 from cbce.datakit import SynthConfig, synth_generate
 from cbce.model import ModelConfig
 from cbce.optim import AdamState, adam_step, poly_lr
-from cbce.tensor import Tensor, backward, concat, record_op, tsum
+from cbce.tensor import Tensor, backward, concat, record_op
 from cbce.train import TrainConfig, train
 
 

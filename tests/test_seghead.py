@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from per_op import mul, tsum
 
 from cbce import convops, seghead
 from cbce import tensor as T
@@ -237,7 +238,7 @@ def test_aspp_branch_bit_identical_to_pointwise_conv(h, w, c_in, c_out, dilation
     results = []
     for mix in (reference_pointwise, T.linear):
         out = mix(convops.depthwise_conv2d(x, dw, dilation=dilation), pw, pb)
-        backward(T.tsum(T.mul(out, proj)))
+        backward(tsum(mul(out, proj)))
         results.append((out.data, [t.grad for t in (x, dw, pw, pb)]))
         for t in (x, dw, pw, pb):
             t.grad = None

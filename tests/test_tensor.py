@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from per_op import l2_normalize, matmul, reference_linear, sigmoid, softmax
+from per_op import l2_normalize, matmul, mul, reference_linear, sigmoid, softmax, tanh, tsum
 
-from cbce import cim, convops, encoders, fusion, seghead
+from cbce import cim, convops, encoders, seghead
 from cbce import tensor as T
 from cbce.checkpoint import load_checkpoint
 from cbce.datakit import synth_generate
@@ -208,7 +208,7 @@ def test_l2_normalize_zero_vector_survives():
     fused = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
     y = vlm.forward(lang, fused)
     np.testing.assert_array_equal(y.data, np.zeros(4))
-    backward(T.tsum(T.mul(y, Tensor(rng.standard_normal(4)))))
+    backward(tsum(mul(y, Tensor(rng.standard_normal(4)))))
     for t in (lang, fused, *params):
         assert np.all(np.isfinite(t.grad))
 
@@ -259,43 +259,43 @@ def test_global_avg_pool_shape_and_value():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.random.default_rng(11).standard_normal((3, 3)), requires_grad=True)
-    backward(T.tsum(x))
+    backward(tsum(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 3)))
 
 
 def test_backward_half_square_gives_x():
     x = Tensor(np.random.default_rng(12).standard_normal(6), requires_grad=True)
-    loss = T.mul(T.tsum(T.mul(x, x)), 0.5)
+    loss = mul(tsum(mul(x, x)), 0.5)
     backward(loss)
     np.testing.assert_allclose(x.grad, x.data, atol=1e-12)
 
 
 def test_backward_accumulates_shared_use():
     x = Tensor([2.0], requires_grad=True)
-    y = T.concat([T.mul(x, 3.0), T.mul(x, 4.0)], axis=0)  # 3x and 4x
-    backward(T.tsum(y))
+    y = T.concat([mul(x, 3.0), mul(x, 4.0)], axis=0)  # 3x and 4x
+    backward(tsum(y))
     np.testing.assert_allclose(x.grad, [7.0])
 
 
 def test_backward_rejects_nonscalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
-        backward(T.mul(x, 2.0))
+        backward(mul(x, 2.0))
 
 
 def test_second_backward_on_consumed_graph_errors():
     x = Tensor(np.ones(3), requires_grad=True)
-    sq = T.mul(x, x)
-    loss = T.tsum(sq)
+    sq = mul(x, x)
+    loss = tsum(sq)
     backward(loss)
     assert sq.node.backward_fn is None  # freed by the walk, still refused below
     with pytest.raises(GraphConsumedError):
         backward(loss)
     # a loss recorded on top of part of a consumed recording is refused too
     with pytest.raises(GraphConsumedError):
-        backward(T.tsum(T.mul(sq, 2.0)))
+        backward(tsum(mul(sq, 2.0)))
     # re-recording the forward pass works again
-    loss2 = T.tsum(T.mul(x, x))
+    loss2 = tsum(mul(x, x))
     x.grad = None
     backward(loss2)
     np.testing.assert_allclose(x.grad, 2 * x.data)
@@ -303,10 +303,10 @@ def test_second_backward_on_consumed_graph_errors():
 
 def test_backward_runs_rules_newest_first_after_their_consumers():
     x = Tensor(np.ones(2), requires_grad=True)
-    y = T.mul(x, 2.0)  # y feeds z and w, x feeds y and z
-    z = T.mul(y, x)
-    w = T.mul(z, y)
-    loss = T.tsum(w)
+    y = mul(x, 2.0)  # y feeds z and w, x feeds y and z
+    z = mul(y, x)
+    w = mul(z, y)
+    loss = tsum(w)
     nodes = [t.node for t in (y, z, w, loss)]
     ran = []
 
@@ -347,7 +347,7 @@ def test_no_op_creates_a_reference_cycle():
 
     def forward_backward(build):
         fn, inputs = build(np.random.default_rng(0))
-        backward(T.tsum(fn(*inputs)))
+        backward(tsum(fn(*inputs)))
 
     leaks = {name: cyclic_garbage(lambda: forward_backward(build))
              for name, build in suite.items()}
@@ -359,8 +359,8 @@ def test_graph_is_freed_with_its_loss():
     gc.collect()
     gc.disable()
     try:
-        mid = T.mul(x, 2.0)
-        loss = T.tsum(T.tanh(mid))
+        mid = mul(x, 2.0)
+        loss = tsum(tanh(mid))
         ref, mid_ref = weakref.ref(mid.node), weakref.ref(mid)
         del mid
         assert ref() is not None  # the loss keeps its graph alive
@@ -378,7 +378,7 @@ def test_graph_is_freed_with_its_loss():
 def test_nonfinite_forward_fails_fast_with_op_name():
     big = Tensor(np.array([1e308]), requires_grad=True)
     with np.errstate(over="ignore"), pytest.raises(NumericError) as ei:
-        T.mul(big, big)
+        mul(big, big)
     assert "mul" in str(ei.value)
 
 
@@ -391,17 +391,17 @@ def test_nonfinite_check_names_the_op(dtype, bad, requires_grad):
         record_op("probe", x.data * 1, (x,), lambda g: (g,))
     # a full reduction hands record_op a 0-d numpy scalar
     with pytest.raises(NumericError, match="'sum'"):
-        T.tsum(x)
+        tsum(x)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_finite_outputs_pass_the_check(dtype):
     x = Tensor(np.array([[1.0, -3.0], [0.0, np.finfo(dtype).max]], dtype=dtype))
     assert record_op("probe", x.data * 1, (x,), lambda g: (g,)).dtype == dtype
-    assert T.tsum(Tensor(np.ones(3, dtype=dtype))).item() == 3.0
+    assert tsum(Tensor(np.ones(3, dtype=dtype))).item() == 3.0
     empty = Tensor(np.empty((0, 3), dtype=dtype))
     assert record_op("probe", empty.data, (empty,), lambda g: (g,)).shape == (0, 3)
-    assert T.tsum(empty).item() == 0.0
+    assert tsum(empty).item() == 0.0
 
 
 def test_concat_then_slice_is_identity():
@@ -427,7 +427,7 @@ def test_forward_bit_identical_across_runs():
 
     def run():
         out = convops.conv2d(Tensor(x.copy()), Tensor(w.copy()), Tensor(b.copy()))
-        return T.tanh(T.reshape(T.tsum(out, axis=2), (-1,))).data
+        return tanh(T.reshape(tsum(out, axis=2), (-1,))).data
 
     np.testing.assert_array_equal(run(), run())
 
@@ -475,7 +475,7 @@ def test_record_op_custom_extension():
     # doubling with a correct hand-written rule round-trips through backward
     x = Tensor(np.arange(4.0), requires_grad=True)
     y = record_op("double", x.data * 2, (x,), lambda g: (2 * g,))
-    backward(T.tsum(y))
+    backward(tsum(y))
     np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
 
 
@@ -501,7 +501,7 @@ def test_linear_bit_identical_to_per_op_recording(lead, k, n, dtype, seed):
     results = []
     for op in (reference_linear, T.linear):
         out = op(x, w, b)
-        backward(T.tsum(T.mul(out, proj)))
+        backward(tsum(mul(out, proj)))
         results.append((out.data, [t.grad for t in (x, w, b)]))
         for t in (x, w, b):
             t.grad = None
@@ -531,7 +531,7 @@ def test_linear_training_bit_identical(dtype, tmp_path, monkeypatch):
     )
     synth_generate(cfg.synth, tmp_path / "data")
     fused = train(cfg, tmp_path / "data", tmp_path / "fused")
-    for module in (encoders, fusion, seghead):
+    for module in (encoders, seghead):
         monkeypatch.setattr(module, "linear", reference_linear)
     ref = train(cfg, tmp_path / "data", tmp_path / "ref")
     assert fused.losses == ref.losses and len(ref.losses) == 3
@@ -624,7 +624,7 @@ def test_backward_frees_node_state_and_grads_only_leaves(monkeypatch):
     loss = loss_fn()
     nodes = graph_nodes(loss)
     inner = [t for t in outs if t.node is not None]
-    assert len(inner) == len(nodes) == 76 and {id(t.node) for t in inner} == {id(n) for n in nodes}
+    assert len(inner) == len(nodes) == 58 and {id(t.node) for t in inner} == {id(n) for n in nodes}
     assert all(n.backward_fn is not None for n in nodes)
     backward(loss)
     assert all(t.grad is None and t.node.backward_fn is None for t in inner)
@@ -647,7 +647,7 @@ def test_float32_training_step_runs_in_float32(monkeypatch):
     monkeypatch.setattr(T, "record_op", recording(T.record_op))
     monkeypatch.setattr(convops, "record_op", recording(convops.record_op))
     backward(loss_fn())
-    assert len(recorded) == 76
+    assert len(recorded) == 58
     assert {op for op, dtype in recorded if dtype != np.float32} == set()
     for name, p in model.parameters().items():
         assert p.grad.dtype == np.float32, name
@@ -679,7 +679,7 @@ def test_array_held_only_by_a_backward_rule_dies_with_the_walk():
         return record_op("scale", a.data * s, (a,), lambda g: (g * s,)), weakref.ref(s)
 
     y, saved = scaled(x)
-    loss = T.tsum(y)
+    loss = tsum(y)
     assert saved() is not None
     backward(loss)
     assert saved() is None
@@ -742,7 +742,7 @@ def test_gated_copies_die_before_the_loss():
     finally:
         tracemalloc.stop()
     assert held < 1.5 * out.data.nbytes, (held, out.data.nbytes)
-    backward(T.tsum(out))
+    backward(tsum(out))
     assert all(t.grad.shape == t.shape for t in (lang, *feats.values()))
 
 
@@ -758,7 +758,7 @@ def test_dilated_depthwise_keeps_no_padded_copy():
     finally:
         tracemalloc.stop()
     assert held < 3 * x.data.nbytes, (held, x.data.nbytes)
-    backward(T.tsum(out))
+    backward(tsum(out))
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 

@@ -475,10 +475,29 @@ def test_cli_unknown_config_key_is_a_validation_error(tmp_path, capsys, section,
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("dtype", ["float16", "int32", "bfloat"])
+def test_unsupported_model_dtype_rejected_when_the_config_loads(tmp_path, capsys, dtype):
+    # float16 used to run until the first Adam step refused a float64
+    # gradient, and "bfloat" escaped the CLI as a TypeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"dtype": dtype}}))
+    with pytest.raises(ValueError, match=f"dtype.*'{dtype}'"):
+        load_config(path)
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "dtype" in captured.err
+    assert not out.exists()
+
+
 def test_cli_gradcheck_smoke(capsys):
-    assert main(["gradcheck", "--op", "attend_pool", "--op", "gate_aggregate", "--seeds", "3"]) == 0
+    argv = ["gradcheck", "--op", "bilinear_fuse", "--op", "attend_pool", "--op", "gate_aggregate",
+            "--seeds", "3"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "attend_pool" in out and "gate_aggregate" in out
+    assert "bilinear_fuse" in out and "attend_pool" in out and "gate_aggregate" in out
 
 
 @pytest.mark.parametrize("argv", [
