@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import init
+from . import init, tensor as T
 from .encoders import TAPS
-from .tensor import Tensor, attend_pool, gate_aggregate
+from .tensor import Tensor, _check_finite, _sigmoid, _unbroadcast
+
+L2_EPS = 1e-12
 
 
 @dataclass
@@ -46,8 +48,52 @@ class Vlm:
         self.b_out = init.zeros((c_l,))
 
     def forward(self, lang: Tensor, fused: Tensor, return_attention: bool = False):
-        out, attn = attend_pool(lang, fused, self.w_theta, self.b_theta, self.w_phi,
-                                self.b_phi, self.w_out, self.b_out)
+        """The new (C_l,) language vector, as one ``attend_pool`` node, and
+        with ``return_attention`` also the (HW,) attention row.
+
+        Scores each position of the (H, W, C_v) map by ``phi(x) .
+        theta(lang) / sqrt(C_v)``, pools the map with the softmax of the
+        scores, projects ``[lang, pooled]`` back to C_l and L2-normalizes
+        it. Bit-identical to recording the reshapes, the three
+        ``linear``s, the two matmuls, the softmax, the concat and the
+        normalization as separate ops: every product keeps their shapes.
+        The map's two gradient terms sum inside the node, pooling term
+        first; ``lang`` sits twice in the inputs, concat term first, so
+        the engine folds its terms as it folded theirs.
+        """
+        w_theta, b_theta, w_phi, b_phi, w_out, b_out = (
+            self.w_theta, self.b_theta, self.w_phi, self.b_phi, self.w_out, self.b_out)
+        h, w, c_v = fused.shape
+        c_l, hw, scale = lang.shape[0], h * w, float(np.sqrt(c_v))
+        flat, row = fused.data.reshape(hw, c_v), lang.data.reshape(1, c_l)
+        phi = flat @ w_phi.data + b_phi.data
+        theta = (row @ w_theta.data + b_theta.data).reshape(c_v, 1)
+        scores = phi @ theta
+        _check_finite(scores, "attend_pool")  # the softmax would weight a -inf score 0
+        z = scores.reshape(hw) / scale
+        z = z - z.max()
+        e = np.exp(z)
+        attn = e / e.sum()
+        attn_row = attn.reshape(1, hw)
+        merged = np.concatenate([row, attn_row @ flat], axis=1)
+        x = (merged @ w_out.data + b_out.data).reshape(c_l)
+        _check_finite(x, "attend_pool")
+        inv = 1.0 / np.sqrt(np.dot(x, x) + L2_EPS)
+
+        def bwd(g):
+            g_out = (g * inv - x * (np.dot(x, g) * inv**3)).reshape(1, c_l)
+            d_row, d_pooled = np.split(g_out @ w_out.data.T, [c_l], axis=1)
+            d_attn = (d_pooled @ flat.T).reshape(hw)
+            d_scores = ((attn * (d_attn - np.dot(d_attn, attn))) / scale).reshape(hw, 1)
+            d_phi = d_scores @ theta.T
+            d_theta = (phi.T @ d_scores).reshape(1, c_v)
+            d_flat = attn_row.T @ d_pooled + d_phi @ w_phi.data.T
+            return (d_row.reshape(c_l), d_flat.reshape(h, w, c_v),
+                    row.T @ d_theta, d_theta.sum(axis=0), flat.T @ d_phi, d_phi.sum(axis=0),
+                    merged.T @ g_out, g_out.sum(axis=0), (d_theta @ w_theta.data.T).reshape(c_l))
+
+        inputs = (lang, fused, w_theta, b_theta, w_phi, b_phi, w_out, b_out, lang)
+        out = T.record_op("attend_pool", x * inv, inputs, bwd)
         return (out, Tensor(attn)) if return_attention else out
 
     def parameters(self):
@@ -71,13 +117,45 @@ class Lvm:
         }
 
     def forward(self, lang: Tensor, feats: dict) -> Tensor:
-        """feats maps level -> (H, W, C_v) and must cover the target and
-        every source; all maps are the previous round's."""
+        """``feats[target] + sum_k sigmoid(lang @ w_k + b_k) * feats[k]`` over
+        the sources k, as one ``gate_aggregate`` node.
+
+        feats maps level -> (H, W, C_v) and must cover the target and
+        every source, as distinct tensors; all maps are the previous
+        round's. Each gate is a (C_v,) vector broadcast over the maps.
+        Bit-identical to recording each gate's ``linear``, sigmoid,
+        reshape, mul and add as separate ops: every gate keeps its own
+        (1, C_l) x (C_l, C_v) product, and backward folds the gates'
+        ``lang`` terms last gate first, as the engine did.
+        """
         missing = {self.target, *self.sources} - set(feats)
         if missing:
             raise ValueError(f"missing fused maps for levels {sorted(missing)}")
-        return gate_aggregate(lang, feats[self.target], [feats[s] for s in self.sources],
-                              [self.gates[s] for s in self.sources])
+        target, sources = feats[self.target], [feats[s] for s in self.sources]
+        gates = [self.gates[s] for s in self.sources]
+        c_l = lang.shape[0]
+        row = lang.data.reshape(1, c_l)
+        out, ys = target.data, []
+        for src, (w, b) in zip(sources, gates):
+            pre = row @ w.data + b.data
+            _check_finite(pre, "gate_aggregate")  # the sigmoid would squash an overflow
+            ys.append(_sigmoid(pre))
+            out = out + ys[-1].reshape(1, 1, -1) * src.data
+        terms = [(src.data, y, w.data) for src, y, (w, _) in zip(sources, ys, gates)]
+
+        def bwd(g):
+            d_row, d_maps, d_params = None, [], []
+            for f, y, w in reversed(terms):
+                y3 = y.reshape(1, 1, -1)
+                d_maps.insert(0, g * y3)
+                d_pre = _unbroadcast(g * f, y3.shape).reshape(y.shape) * y * (1.0 - y)
+                d_params[:0] = (row.T @ d_pre, d_pre.sum(axis=0))
+                d_term = d_pre @ w.T
+                d_row = d_term if d_row is None else d_row + d_term
+            return (d_row.reshape(c_l), g, *d_maps, *d_params)
+
+        params = (t for pair in gates for t in pair)
+        return T.record_op("gate_aggregate", out, (lang, target, *sources, *params), bwd)
 
     def parameters(self):
         for src in self.sources:

@@ -31,17 +31,24 @@ def _pad_edge(x: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
     return out
 
 
-def _fold_pad_gradient(dxp: np.ndarray, pad: int, h: int, w: int) -> np.ndarray:
-    """Collapse gradient mass on replicated padding back onto the edges;
-    folds the rows in place on ``dxp``, which the caller gives up."""
-    if pad == 0:
+def _fold_pad_gradient(dxp: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """Collapse gradient mass on padding that ``_pad_edge`` replicated by
+    (before, after) rows and columns back onto the edges; folds the rows
+    in place on ``dxp``, which the caller gives up."""
+    (top, bottom), (left, right) = rows, cols
+    if not (top or bottom or left or right):
         return dxp
-    dxp[pad] += dxp[:pad].sum(axis=0)
-    dxp[pad + h - 1] += dxp[pad + h :].sum(axis=0)
-    rows = dxp[pad : pad + h]
-    dx = rows[:, pad : pad + w].copy()
-    dx[:, 0] += rows[:, :pad].sum(axis=1)
-    dx[:, -1] += rows[:, pad + w :].sum(axis=1)
+    h, w = dxp.shape[0] - top - bottom, dxp.shape[1] - left - right
+    if top:
+        dxp[top] += dxp[:top].sum(axis=0)
+    if bottom:
+        dxp[top + h - 1] += dxp[top + h :].sum(axis=0)
+    mid = dxp[top : top + h]
+    dx = mid[:, left : left + w].copy()
+    if left:
+        dx[:, 0] += mid[:, :left].sum(axis=1)
+    if right:
+        dx[:, -1] += mid[:, left + w :].sum(axis=1)
     return dx
 
 
@@ -90,7 +97,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
                 sl = (slice(a, a + h), slice(b, b + wid))
                 dw[a, b] = xp[sl].reshape(-1, cin).T @ g2
                 dxp[sl] += (g2 @ wd[a, b].T).reshape(h, wid, cin)
-        return _fold_pad_gradient(dxp, pad, h, wid), dw, g.sum(axis=(0, 1))
+        return _fold_pad_gradient(dxp, (pad, pad), (pad, pad)), dw, g.sum(axis=(0, 1))
 
     return record_op("conv2d", out, (x, w, bias), bwd)
 
@@ -127,7 +134,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         dxp = np.zeros((h + 2 * pad, wid + 2 * pad, cin), dtype=xd.dtype)
         for a, b, sl in taps:
             dxp[sl] += g * wd[a, b]
-        return _fold_pad_gradient(dxp, pad, h, wid), dw
+        return _fold_pad_gradient(dxp, (pad, pad), (pad, pad)), dw
 
     return record_op("depthwise_conv2d", out, (x, w), bwd)
 
@@ -166,12 +173,7 @@ def avg_pool2d(x: Tensor, window: int = 2) -> Tensor:
 
     def bwd(g):
         spread = np.repeat(np.repeat(g, window, axis=0), window, axis=1) / (window * window)
-        if ph:
-            spread[h - 1] += spread[h:].sum(axis=0)
-        rows = spread[:h]
-        if pw:
-            rows[:, w - 1] += rows[:, w:].sum(axis=1)
-        return (np.ascontiguousarray(rows[:, :w]),)
+        return (_fold_pad_gradient(spread, (0, ph), (0, pw)),)
 
     return record_op("avg_pool2d", out, (x,), bwd)
 

@@ -1,7 +1,7 @@
 """Input encoders: a small strided CNN for multi-level visual features and
 a shared-parameter recurrent encoder that pools phrase vectors into one
 global language feature. The phrase encoder records one fused node per
-phrase set (``tensor.lstm_phrases``), not one per gate and step.
+phrase set (``lstm_phrases``), not one per gate and step.
 """
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import init
+from . import init, tensor as T
 from .convops import avg_pool2d, bilinear_upsample, conv2d
-from .tensor import Tensor, linear, lstm_phrases, relu
+from .tensor import Tensor, _check_finite, _sigmoid, linear, relu
 
 PAD_ID = 0
 UNK_ID = 1
@@ -167,7 +167,7 @@ class VisualEncoder:
 class PhraseEncoder:
     """Embedding + single-layer LSTM shared across phrases; the final
     hidden states are max-pooled elementwise into the global feature.
-    The whole phrase set is one fused node (``tensor.lstm_phrases``)."""
+    The whole phrase set is one fused ``lstm_phrases`` node."""
 
     GATES = ("i", "f", "g", "o")
 
@@ -181,18 +181,96 @@ class PhraseEncoder:
             self.b[gate] = init.constant((c_l,), 1.0 if gate == "f" else 0.0)
 
     def forward(self, phrases: PhraseSet) -> Tensor:
-        if phrases.vocab_size != self.embedding.shape[0]:
+        """Pooled phrase vector: embedding lookup, the LSTM over every
+        phrase, elementwise max of the final hidden states, as one node.
+
+        The result is bit-identical to recording the lookup, each gate's
+        ``add(add(x @ Wx, h @ Wh), b)``, the activations, the cell update
+        and the max as separate ops. Every product keeps the (1, C) x
+        (C, C) shape of those ops: stacking phrases or steps into rows, or
+        gates into columns, changes how BLAS sums for some widths. Only
+        the weight-gradient outer products (inner dimension 1, so exact)
+        are stacked by gate. Backward folds every gradient in the order
+        the engine would. Ties in the max route the gradient to the
+        earliest phrase.
+        """
+        embedding = self.embedding
+        if phrases.vocab_size != embedding.shape[0]:
             raise ValueError(
-                f"phrase set vocab {phrases.vocab_size} != embedding rows {self.embedding.shape[0]}"
+                f"phrase set vocab {phrases.vocab_size} != embedding rows {embedding.shape[0]}"
             )
-        return lstm_phrases(
-            self.embedding,
-            [self.wx[g] for g in self.GATES],
-            [self.wh[g] for g in self.GATES],
-            [self.b[g] for g in self.GATES],
-            phrases.ids,
-            phrases.lengths,
-        )
+        ids, lengths = phrases.ids, phrases.lengths
+        wx, wh, b = ([d[g] for g in self.GATES] for d in (self.wx, self.wh, self.b))
+        c = embedding.shape[1]
+        wxs, whs, bs = [w.data for w in wx], [w.data for w in wh], [t.data for t in b]
+        tapes = []  # per phrase: (token ids, per-step saved values)
+        finals = []
+        for p in range(ids.shape[0]):
+            pid = ids[p, : lengths[p]]
+            xs = embedding.data[pid]
+            h = np.zeros((1, c), dtype=embedding.dtype)
+            cell = np.zeros((1, c), dtype=embedding.dtype)
+            steps = []
+            for t in range(pid.size):
+                x = xs[t : t + 1]
+                acts = []
+                for k in range(4):
+                    pre = (x @ wxs[k] + h @ whs[k]) + bs[k]
+                    # sigmoid would squash an overflowed pre-activation to a finite value
+                    _check_finite(pre, "lstm_phrases")
+                    acts.append(np.tanh(pre) if k == 2 else _sigmoid(pre))
+                i, f, g, o = acts
+                cell_prev, cell = cell, f * cell + i * g
+                tc = np.tanh(cell)
+                steps.append((x, h, cell_prev, i, f, g, o, tc))
+                h = o * tc
+            tapes.append((pid, steps))
+            finals.append(h.reshape(c))
+        stacked = np.stack(finals, axis=0)
+        out = stacked.max(axis=0)
+        winner = stacked.argmax(axis=0)
+        gate_slices = [slice(k * c, (k + 1) * c) for k in range(4)]
+
+        def bwd(gout):
+            # walk phrases and steps newest first, folding each shared gradient
+            # left in that order; per-gate terms of dx and dh sum as o, g, f, i
+            dwx = dwh = db = demb = None
+            for p in reversed(range(len(tapes))):
+                pid, steps = tapes[p]
+                dh = (gout * (winner == p)).reshape(1, c)
+                dc_carry = None
+                dxs = np.empty((pid.size, c), dtype=gout.dtype)
+                for t in reversed(range(pid.size)):
+                    x, h, cell_prev, i, f, g, o, tc = steps[t]
+                    d_o = dh * tc
+                    dcell = (dh * o) * (1.0 - tc * tc)
+                    if dc_carry is not None:
+                        dcell = dc_carry + dcell
+                    dc_carry = dcell * f
+                    dpre = (
+                        (dcell * g) * i * (1.0 - i),
+                        (dcell * cell_prev) * f * (1.0 - f),
+                        (dcell * i) * (1.0 - g * g),
+                        d_o * o * (1.0 - o),
+                    )
+                    dpre_cat = np.concatenate(dpre, axis=1)
+                    tx, th, tb = x.T @ dpre_cat, h.T @ dpre_cat, dpre_cat.sum(axis=0)
+                    if dwx is None:
+                        dwx, dwh, db = tx, th, tb
+                    else:
+                        dwx, dwh, db = dwx + tx, dwh + th, db + tb
+                    dxs[t] = ((dpre[3] @ wxs[3].T + dpre[2] @ wxs[2].T)
+                              + dpre[1] @ wxs[1].T) + dpre[0] @ wxs[0].T
+                    if t:  # the initial state is a constant
+                        dh = ((dpre[3] @ whs[3].T + dpre[2] @ whs[2].T)
+                              + dpre[1] @ whs[1].T) + dpre[0] @ whs[0].T
+                table = np.zeros(embedding.shape, dtype=gout.dtype)
+                np.add.at(table, pid, dxs)
+                demb = table if demb is None else demb + table
+            return (demb, *(dwx[:, s] for s in gate_slices), *(dwh[:, s] for s in gate_slices),
+                    *(db[s] for s in gate_slices))
+
+        return T.record_op("lstm_phrases", out, (embedding, *wx, *wh, *b), bwd)
 
     def parameters(self):
         yield "embedding", self.embedding

@@ -1,6 +1,6 @@
 """Initial multimodal fusion: low-rank bilinear pooling of each visual
-level with the global language vector (one ``tensor.bilinear_fuse``
-node per level), concatenated with an 8-D spatial coordinate grid.
+level with the global language vector (one ``bilinear_fuse`` node per
+level), concatenated with an 8-D spatial coordinate grid.
 """
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import init
-from .tensor import Tensor, bilinear_fuse, concat
+from . import init, tensor as T
+from .tensor import Tensor, _check_finite, concat
 
 
 @lru_cache(maxsize=32)
@@ -60,7 +60,38 @@ class BilinearFusion:
         self.bo = init.zeros((c_f,))
 
     def forward(self, visual: Tensor, lang: Tensor) -> Tensor:
-        return bilinear_fuse(visual, lang, self.wv, self.bv, self.wl, self.bl, self.wo, self.bo)
+        """``tanh(((x @ wv + bv) * (lang @ wl + bl)) @ wo + bo)`` at every
+        position x of the (H, W, C_i) map, returning (H, W, C_f), as one
+        ``bilinear_fuse`` node.
+
+        Bit-identical to recording the reshape, the three ``linear``s, the
+        mul, the tanh and the reshape back as separate ops: every product
+        keeps their shapes, and backward runs their rules newest first.
+        ``lang`` sits once in the inputs, so the engine folds its terms
+        across levels in the order it folded the language ``linear``'s.
+        """
+        wv, bv, wl, bl, wo, bo = self.wv, self.bv, self.wl, self.bl, self.wo, self.bo
+        h, w, c_i = visual.shape
+        c_l, c_f = lang.shape[0], wo.shape[1]
+        flat, row = visual.data.reshape(h * w, c_i), lang.data.reshape(1, c_l)
+        v = flat @ wv.data + bv.data
+        l = (row @ wl.data + bl.data).reshape(-1)
+        m = v * l  # (HW, R) * (R,) broadcast
+        pre = m @ wo.data + bo.data
+        # a non-finite v, l or m leaves the sum non-finite, and tanh would squash an overflow
+        _check_finite(pre, "bilinear_fuse")
+        y = np.tanh(pre)
+
+        def bwd(g):
+            d_pre = g.reshape(h * w, c_f) * (1.0 - y * y)
+            d_m = d_pre @ wo.data.T
+            d_v, d_l = d_m * l, (d_m * v).sum(axis=0).reshape(1, -1)
+            return ((d_v @ wv.data.T).reshape(h, w, c_i), (d_l @ wl.data.T).reshape(c_l),
+                    flat.T @ d_v, d_v.sum(axis=0), row.T @ d_l, d_l.sum(axis=0),
+                    m.T @ d_pre, d_pre.sum(axis=0))
+
+        inputs = (visual, lang, wv, bv, wl, bl, wo, bo)
+        return T.record_op("bilinear_fuse", y.reshape(h, w, c_f), inputs, bwd)
 
     def parameters(self):
         for name in ("wv", "bv", "wl", "bl", "wo", "bo"):

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convops, tensor as T
+from .cim import Cim, Lvm, Vlm
+from .encoders import TAPS, PhraseEncoder, PhraseSet
+from .fusion import BilinearFusion
+from .seghead import SegHead
 from .tensor import Tensor, backward, linear, reshape
 
 
@@ -26,7 +30,6 @@ class GradCheckReport:
     max_rel_error: float
     tol: float
     checked: int
-    worst: tuple[int, int] | None = None  # (input index, flat coordinate)
 
     @property
     def passed(self) -> bool:
@@ -78,7 +81,6 @@ def grad_check(
         inp.grad = None
 
     max_rel = 0.0
-    worst = None
     checked = 0
     for ti, inp in enumerate(inputs):
         if not inp.requires_grad:
@@ -99,10 +101,8 @@ def grad_check(
             numeric = (fp - fm) / (2.0 * h)
             rel = abs(ana_flat[ci] - numeric) / max(1.0, abs(ana_flat[ci]), abs(numeric))
             checked += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = (ti, int(ci))
-    return GradCheckReport(label=label, max_rel_error=max_rel, tol=tol, checked=checked, worst=worst)
+            max_rel = max(max_rel, rel)
+    return GradCheckReport(label=label, max_rel_error=max_rel, tol=tol, checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +111,15 @@ def grad_check(
 
 def _rt(rng, *shape, scale=1.0):
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+
+
+def _redrawn(module, rng, scale=1.0):
+    """A module's parameters as checked inputs, redrawn from a scaled
+    standard normal so activations leave their linear range."""
+    params = [t for _, t in module.parameters()]
+    for t in params:
+        t.data = rng.standard_normal(t.shape) * scale
+    return params
 
 
 def standard_op_suite() -> dict:
@@ -135,38 +144,27 @@ def standard_op_suite() -> dict:
         return (lambda a: T.relu(a)), [a]
 
     def bilinear_fuse_entry(rng):
-        c_i, c_l, rank, c_f = 3, 2, 4, 3
-        visual, lang = _rt(rng, 2, 3, c_i), _rt(rng, c_l)
+        visual, lang = _rt(rng, 2, 3, 3), _rt(rng, 2)
+        fuse = BilinearFusion(c_i=3, c_l=2, c_f=3, rank=4, rng=rng)
         # half-scale weights keep third derivatives, the central difference's error, small
-        params = [_rt(rng, c_i, rank, scale=0.5), _rt(rng, rank), _rt(rng, c_l, rank, scale=0.5),
-                  _rt(rng, rank), _rt(rng, rank, c_f, scale=0.5), _rt(rng, c_f)]
-        return (lambda *args: T.bilinear_fuse(*args)), [visual, lang, *params]
+        params = _redrawn(fuse, rng, scale=0.5)
+        return (lambda *_: fuse.forward(visual, lang)), [visual, lang, *params]
 
     def attend_pool_entry(rng):
-        c_l, c_v = 3, 4
-        lang, fused = _rt(rng, c_l), _rt(rng, 2, 3, c_v)
-        params = [_rt(rng, c_l, c_v), _rt(rng, c_v), _rt(rng, c_v, c_v), _rt(rng, c_v),
-                  _rt(rng, c_l + c_v, c_l), _rt(rng, c_l)]
-        return (lambda *args: T.attend_pool(*args)[0]), [lang, fused, *params]
+        lang, fused = _rt(rng, 3), _rt(rng, 2, 3, 4)
+        vlm = Vlm(c_l=3, c_v=4, rng=rng)
+        return (lambda *_: vlm.forward(lang, fused)), [lang, fused, *_redrawn(vlm, rng)]
 
     def gate_aggregate_entry(rng):
-        lang, target, *sources = _rt(rng, 3), *(_rt(rng, 2, 3, 4) for _ in range(3))
-        gates = [(_rt(rng, 3, 4), _rt(rng, 4)) for _ in sources]
-        inputs = [lang, target, *sources, *(t for pair in gates for t in pair)]
-        return (lambda *_: T.gate_aggregate(lang, target, sources, gates)), inputs
+        lang, feats = _rt(rng, 3), {i: _rt(rng, 2, 3, 4) for i in TAPS}
+        lvm = Lvm(TAPS[0], c_l=3, c_v=4, rng=rng)
+        return (lambda *_: lvm.forward(lang, feats)), [lang, *feats.values(), *_redrawn(lvm, rng)]
 
     def lstm_entry(rng):
-        c = 3
-        embedding = _rt(rng, 5, c)
-        gates = [_rt(rng, c, c) for _ in range(8)] + [_rt(rng, c) for _ in range(4)]
+        enc = PhraseEncoder(vocab_size=5, c_l=3, rng=rng)
         # lengths 3/1/2 with padding; token 2 repeats within and across phrases
-        ids = np.array([[2, 4, 2], [1, 0, 0], [3, 2, 0]])
-        lengths = np.array([3, 1, 2])
-
-        def fn(embedding, *g):
-            return T.lstm_phrases(embedding, g[0:4], g[4:8], g[8:12], ids, lengths)
-
-        return fn, [embedding, *gates]
+        phrases = PhraseSet(ids=[[2, 4, 2], [1, 0, 0], [3, 2, 0]], lengths=[3, 1, 2], vocab_size=5)
+        return (lambda *_: enc.forward(phrases)), _redrawn(enc, rng)
 
     def bce_entry(rng):
         logits = _rt(rng, 3, 3, scale=2.0)
@@ -228,10 +226,6 @@ def micro_pipeline_entry():
     aggregation per level), the multi-scale head, and the summed cross
     entropy. Every parameter is a checked input.
     """
-    from .cim import Cim
-    from .encoders import TAPS
-    from .seghead import SegHead
-
     def build(rng):
         h = w = 2
         c_v, c_l, c_a = 3, 3, 2
@@ -277,8 +271,6 @@ def run_suite(
                 fn, inputs, tol=tol, rng=rng, max_coords_per_tensor=coords, label=name
             )
             worst.checked += rep.checked
-            if rep.max_rel_error > worst.max_rel_error:
-                worst.max_rel_error = rep.max_rel_error
-                worst.worst = rep.worst
+            worst.max_rel_error = max(worst.max_rel_error, rep.max_rel_error)
         reports.append(worst)
     return reports

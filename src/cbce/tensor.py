@@ -2,25 +2,23 @@
 
 The engine is deliberately small: row-major numpy buffers, one recorded
 node per differentiable operation, and a single backward pass per
-recording. Only the operations the segmentation network actually needs
-exist; there is no broadcasting magic beyond what numpy provides and
-what the backward rules undo. Five fused ops stand in for chains of
-small ones and are bit-identical to recording those ops one by one:
-``linear`` is every dense projection (reshape, matmul, bias add,
-reshape back) as one node, ``lstm_phrases`` is the phrase encoder
-(lookup, LSTM and max-pool over the whole phrase set),
-``bilinear_fuse`` is the low-rank bilinear pooling of one visual level
-with the phrase vector (three projections, their product and a tanh),
-and ``attend_pool`` and ``gate_aggregate`` are the two updates of one
-interaction round (attention pooling into the language vector, and the
-language-gated sum of the other levels' maps).
+recording. It holds the generic ops ``linear``, ``reshape``, ``concat``
+and ``relu`` and the loss; there is no broadcasting magic beyond what
+numpy provides and what the backward rules undo. ``linear`` is every
+dense projection (reshape, matmul, bias add, reshape back) as one node,
+bit-identical to recording those ops one by one. A network module that
+fuses a chain of its own ops into one node (the phrase encoder, the
+bilinear fusion, the two updates of an interaction round) computes it in
+its ``forward`` and records it through ``record_op`` like any op here.
 
 ``backward(loss)`` runs the rules of the nodes reachable from the loss
 newest first, freeing each rule (with the arrays it saved) and its
-output's gradient once it has run; only leaves receive ``grad``. A
-second pass over the same recording raises ``GraphConsumedError``. No
-gradient is cast: a model runs in one precision, and ``optim.adam_step``
-refuses, by name, a parameter whose gradient a rule has promoted.
+output's gradient once it has run; only leaves receive ``grad``. A rule
+that returns a gradient of the wrong shape raises ``ShapeError`` naming
+its op. A second pass over the same recording raises
+``GraphConsumedError``. No gradient is cast: a model runs in one
+precision, and ``optim.adam_step`` refuses, by name, a parameter whose
+gradient a rule has promoted.
 
 Every forward result is checked for NaN/Inf and fails fast naming the
 producing operation. A node's edges point at the nodes that produced its
@@ -183,7 +181,9 @@ def backward(loss: Tensor) -> None:
             if g is None or edge is None:
                 continue
             if g.shape != edge.shape:
-                g = g.reshape(edge.shape)
+                raise ShapeError(
+                    f"backward of '{node.op}' returned a {g.shape} gradient for a {edge.shape} input"
+                )
             key = id(edge)
             if key in grads:
                 grads[key] = grads[key] + g
@@ -269,222 +269,12 @@ def concat(tensors, axis: int) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return record_op("relu", a.data * mask, (a,), lambda g: (g * mask,))
+    return record_op("relu", np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     t = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-
-L2_EPS = 1e-12
-
-
-def lstm_phrases(embedding: Tensor, wx, wh, b, ids, lengths) -> Tensor:
-    """Pooled phrase vector: embedding lookup, one shared LSTM over every
-    phrase, elementwise max of the final hidden states, as one node.
-
-    ``wx``, ``wh`` and ``b`` hold the per-gate (C, C), (C, C) and (C,)
-    tensors in the gate order i, f, g, o; ``ids`` is the padded
-    (n, max_len) token matrix and ``lengths`` the true length of each row
-    (>= 1). The result is bit-identical to recording the lookup, each
-    gate's ``add(add(x @ Wx, h @ Wh), b)``, the activations, the cell
-    update and the max as separate ops. Every product keeps the (1, C) x
-    (C, C) shape of those ops: stacking phrases or steps into rows, or
-    gates into columns, changes how BLAS sums for some widths. Only the
-    weight-gradient outer products (inner dimension 1, so exact) are
-    stacked by gate. Backward folds every gradient in the order the
-    engine would. Ties in the max route the gradient to the earliest
-    phrase.
-    """
-    c = embedding.shape[1]
-    wxs, whs, bs = [w.data for w in wx], [w.data for w in wh], [t.data for t in b]
-    tapes = []  # per phrase: (token ids, per-step saved values)
-    finals = []
-    for p in range(ids.shape[0]):
-        pid = ids[p, : lengths[p]]
-        xs = embedding.data[pid]
-        h = np.zeros((1, c), dtype=embedding.dtype)
-        cell = np.zeros((1, c), dtype=embedding.dtype)
-        steps = []
-        for t in range(pid.size):
-            x = xs[t : t + 1]
-            acts = []
-            for k in range(4):
-                pre = (x @ wxs[k] + h @ whs[k]) + bs[k]
-                # sigmoid would squash an overflowed pre-activation to a finite value
-                _check_finite(pre, "lstm_phrases")
-                acts.append(np.tanh(pre) if k == 2 else _sigmoid(pre))
-            i, f, g, o = acts
-            cell_prev, cell = cell, f * cell + i * g
-            tc = np.tanh(cell)
-            steps.append((x, h, cell_prev, i, f, g, o, tc))
-            h = o * tc
-        tapes.append((pid, steps))
-        finals.append(h.reshape(c))
-    stacked = np.stack(finals, axis=0)
-    out = stacked.max(axis=0)
-    winner = stacked.argmax(axis=0)
-    gate_slices = [slice(k * c, (k + 1) * c) for k in range(4)]
-
-    def bwd(gout):
-        # walk phrases and steps newest first, folding each shared gradient
-        # left in that order; per-gate terms of dx and dh sum as o, g, f, i
-        dwx = dwh = db = demb = None
-        for p in reversed(range(len(tapes))):
-            pid, steps = tapes[p]
-            dh = (gout * (winner == p)).reshape(1, c)
-            dc_carry = None
-            dxs = np.empty((pid.size, c), dtype=gout.dtype)
-            for t in reversed(range(pid.size)):
-                x, h, cell_prev, i, f, g, o, tc = steps[t]
-                d_o = dh * tc
-                dcell = (dh * o) * (1.0 - tc * tc)
-                if dc_carry is not None:
-                    dcell = dc_carry + dcell
-                dc_carry = dcell * f
-                dpre = (
-                    (dcell * g) * i * (1.0 - i),
-                    (dcell * cell_prev) * f * (1.0 - f),
-                    (dcell * i) * (1.0 - g * g),
-                    d_o * o * (1.0 - o),
-                )
-                dpre_cat = np.concatenate(dpre, axis=1)
-                tx, th, tb = x.T @ dpre_cat, h.T @ dpre_cat, dpre_cat.sum(axis=0)
-                if dwx is None:
-                    dwx, dwh, db = tx, th, tb
-                else:
-                    dwx, dwh, db = dwx + tx, dwh + th, db + tb
-                dxs[t] = ((dpre[3] @ wxs[3].T + dpre[2] @ wxs[2].T)
-                          + dpre[1] @ wxs[1].T) + dpre[0] @ wxs[0].T
-                if t:  # the initial state is a constant
-                    dh = ((dpre[3] @ whs[3].T + dpre[2] @ whs[2].T)
-                          + dpre[1] @ whs[1].T) + dpre[0] @ whs[0].T
-            table = np.zeros(embedding.shape, dtype=gout.dtype)
-            np.add.at(table, pid, dxs)
-            demb = table if demb is None else demb + table
-        return (demb, *(dwx[:, s] for s in gate_slices), *(dwh[:, s] for s in gate_slices),
-                *(db[s] for s in gate_slices))
-
-    return record_op("lstm_phrases", out, (embedding, *wx, *wh, *b), bwd)
-
-
-def bilinear_fuse(visual: Tensor, lang: Tensor, wv, bv, wl, bl, wo, bo) -> Tensor:
-    """Rank-R Hadamard bilinear pooling as one node:
-    ``tanh(((x @ wv + bv) * (lang @ wl + bl)) @ wo + bo)`` at every
-    position x of the (H, W, C_i) map, returning (H, W, C_f).
-
-    Bit-identical to recording the reshape, the three ``linear``s, the
-    mul, the tanh and the reshape back as separate ops: every product
-    keeps their shapes, and backward runs their rules newest first.
-    ``lang`` sits once in the inputs, so the engine folds its terms
-    across levels in the order it folded the language ``linear``'s.
-    """
-    h, w, c_i = visual.shape
-    c_l, c_f = lang.shape[0], wo.shape[1]
-    flat, row = visual.data.reshape(h * w, c_i), lang.data.reshape(1, c_l)
-    v = flat @ wv.data + bv.data
-    l = (row @ wl.data + bl.data).reshape(-1)
-    m = v * l  # (HW, R) * (R,) broadcast
-    pre = m @ wo.data + bo.data
-    # a non-finite v, l or m leaves the sum non-finite, and tanh would squash an overflow
-    _check_finite(pre, "bilinear_fuse")
-    y = np.tanh(pre)
-
-    def bwd(g):
-        d_pre = g.reshape(h * w, c_f) * (1.0 - y * y)
-        d_m = d_pre @ wo.data.T
-        d_v, d_l = d_m * l, (d_m * v).sum(axis=0).reshape(1, -1)
-        return ((d_v @ wv.data.T).reshape(h, w, c_i), (d_l @ wl.data.T).reshape(c_l),
-                flat.T @ d_v, d_v.sum(axis=0), row.T @ d_l, d_l.sum(axis=0),
-                m.T @ d_pre, d_pre.sum(axis=0))
-
-    inputs = (visual, lang, wv, bv, wl, bl, wo, bo)
-    return record_op("bilinear_fuse", y.reshape(h, w, c_f), inputs, bwd)
-
-
-def attend_pool(lang: Tensor, fused: Tensor, w_theta, b_theta, w_phi, b_phi, w_out, b_out):
-    """Vision-guided language update as one node.
-
-    Scores each position of the (H, W, C_v) map by ``phi(x) . theta(lang)
-    / sqrt(C_v)``, pools the map with the softmax of the scores, projects
-    ``[lang, pooled]`` back to C_l and L2-normalizes it. Returns the new
-    (C_l,) language vector and the (HW,) attention row as an array.
-
-    Bit-identical to recording the reshapes, the three ``linear``s, the
-    two matmuls, the softmax, the concat and the normalization as
-    separate ops: every product keeps their shapes. The map's two
-    gradient terms sum inside the node, pooling term first; ``lang``
-    sits twice in the inputs, concat term first, so the engine folds
-    its terms as it folded theirs.
-    """
-    h, w, c_v = fused.shape
-    c_l, hw, scale = lang.shape[0], h * w, float(np.sqrt(c_v))
-    flat, row = fused.data.reshape(hw, c_v), lang.data.reshape(1, c_l)
-    phi = flat @ w_phi.data + b_phi.data
-    theta = (row @ w_theta.data + b_theta.data).reshape(c_v, 1)
-    scores = phi @ theta
-    _check_finite(scores, "attend_pool")  # the softmax would weight a -inf score 0
-    z = scores.reshape(hw) / scale
-    z = z - z.max()
-    e = np.exp(z)
-    attn = e / e.sum()
-    attn_row = attn.reshape(1, hw)
-    merged = np.concatenate([row, attn_row @ flat], axis=1)
-    x = (merged @ w_out.data + b_out.data).reshape(c_l)
-    _check_finite(x, "attend_pool")
-    inv = 1.0 / np.sqrt(np.dot(x, x) + L2_EPS)
-
-    def bwd(g):
-        g_out = (g * inv - x * (np.dot(x, g) * inv**3)).reshape(1, c_l)
-        d_row, d_pooled = np.split(g_out @ w_out.data.T, [c_l], axis=1)
-        d_attn = (d_pooled @ flat.T).reshape(hw)
-        d_scores = ((attn * (d_attn - np.dot(d_attn, attn))) / scale).reshape(hw, 1)
-        d_phi = d_scores @ theta.T
-        d_theta = (phi.T @ d_scores).reshape(1, c_v)
-        d_flat = attn_row.T @ d_pooled + d_phi @ w_phi.data.T
-        return (d_row.reshape(c_l), d_flat.reshape(h, w, c_v),
-                row.T @ d_theta, d_theta.sum(axis=0), flat.T @ d_phi, d_phi.sum(axis=0),
-                merged.T @ g_out, g_out.sum(axis=0), (d_theta @ w_theta.data.T).reshape(c_l))
-
-    inputs = (lang, fused, w_theta, b_theta, w_phi, b_phi, w_out, b_out, lang)
-    return record_op("attend_pool", x * inv, inputs, bwd), attn
-
-
-def gate_aggregate(lang: Tensor, target: Tensor, sources, gates) -> Tensor:
-    """Language-gated residual sum as one node:
-    ``target + sum_k sigmoid(lang @ w_k + b_k) * sources[k]``.
-
-    ``gates`` holds one (w (C_l, C_v), b (C_v,)) pair per source map; each
-    gate is a (C_v,) vector broadcast over the (H, W, C_v) maps. The maps
-    must be distinct tensors. Bit-identical to recording each gate's
-    ``linear``, sigmoid, reshape, mul and add as separate ops: every gate
-    keeps its own (1, C_l) x (C_l, C_v) product, and backward folds the
-    gates' ``lang`` terms last gate first, as the engine did.
-    """
-    c_l = lang.shape[0]
-    row = lang.data.reshape(1, c_l)
-    out, ys = target.data, []
-    for src, (w, b) in zip(sources, gates):
-        pre = row @ w.data + b.data
-        _check_finite(pre, "gate_aggregate")  # the sigmoid would squash an overflow
-        ys.append(_sigmoid(pre))
-        out = out + ys[-1].reshape(1, 1, -1) * src.data
-    terms = [(src.data, y, w.data) for src, y, (w, _) in zip(sources, ys, gates)]
-
-    def bwd(g):
-        d_row, d_maps, d_params = None, [], []
-        for f, y, w in reversed(terms):
-            y3 = y.reshape(1, 1, -1)
-            d_maps.insert(0, g * y3)
-            d_pre = _unbroadcast(g * f, y3.shape).reshape(y.shape) * y * (1.0 - y)
-            d_params[:0] = (row.T @ d_pre, d_pre.sum(axis=0))
-            d_term = d_pre @ w.T
-            d_row = d_term if d_row is None else d_row + d_term
-        return (d_row.reshape(c_l), g, *d_maps, *d_params)
-
-    params = (t for pair in gates for t in pair)
-    return record_op("gate_aggregate", out, (lang, target, *sources, *params), bwd)
 
 
 def bce_with_logits_sum(logits: Tensor, targets: np.ndarray) -> Tensor:

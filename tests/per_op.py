@@ -1,9 +1,9 @@
-"""Per-op references: the recordings the fused engine ops replaced.
+"""Per-op references: the recordings the fused ops replaced.
 
-``tensor.linear``, ``tensor.lstm_phrases``, ``tensor.bilinear_fuse``,
-``tensor.attend_pool`` and ``tensor.gate_aggregate`` are each proven
-bit-identical (outputs, every gradient and a few training steps) to the
-chains of one-node ops below. The small ops are recorded through
+``tensor.linear`` and the fused forwards of ``PhraseEncoder``,
+``BilinearFusion``, ``Vlm`` and ``Lvm`` are each proven bit-identical
+(outputs, every gradient and a few training steps) to the chains of
+one-node ops below. The small ops are recorded through
 ``tensor.record_op`` like any engine op, but the network no longer
 calls them, so they live here and not in the engine. Tests also use
 ``mul`` and ``tsum`` to reduce an output to a scalar loss.
@@ -11,7 +11,8 @@ calls them, so they live here and not in the engine. Tests also use
 import numpy as np
 
 from cbce import tensor as T
-from cbce.tensor import L2_EPS, ShapeError, Tensor, _sigmoid, _unbroadcast
+from cbce.cim import L2_EPS
+from cbce.tensor import ShapeError, Tensor, _sigmoid, _unbroadcast
 
 # ---------------------------------------------------------------------------
 # one node per op
@@ -138,7 +139,7 @@ def reference_lstm(enc, phrases):
 
 
 def reference_fusion(fuse, visual, lang):
-    """``BilinearFusion.forward`` as the 7 nodes ``bilinear_fuse`` fuses."""
+    """``BilinearFusion.forward`` as the 7 nodes it fuses."""
     h, w, c_i = visual.shape
     # v stays (HW, rank), so mul sums the gradient of l over one axis
     v = T.linear(T.reshape(visual, (h * w, c_i)), fuse.wv, fuse.bv)
@@ -148,7 +149,7 @@ def reference_fusion(fuse, visual, lang):
 
 
 def reference_vlm(vlm, lang, fused, return_attention=False):
-    """``Vlm.forward`` as the 14 nodes ``attend_pool`` fuses."""
+    """``Vlm.forward`` as the 14 nodes it fuses."""
     h, w, c_v = fused.shape
     hw = h * w
     flat = T.reshape(fused, (hw, c_v))
@@ -164,7 +165,7 @@ def reference_vlm(vlm, lang, fused, return_attention=False):
 
 
 def reference_lvm(lvm, lang, feats):
-    """``Lvm.forward`` as the 11 nodes ``gate_aggregate`` fuses."""
+    """``Lvm.forward`` as the 11 nodes it fuses."""
     out = feats[lvm.target]
     c_v = out.shape[2]
     row = T.reshape(lang, (1, lang.size))

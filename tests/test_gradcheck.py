@@ -50,6 +50,7 @@ def test_every_checked_op_has_a_network_caller(monkeypatch):
         fn, inputs = build(np.random.default_rng(0))
         fn(*inputs)
         checked[name] = set(kinds)
+    assert [name for name, ks in checked.items() if not ks] == []
     uncalled = {name: ks - network for name, ks in checked.items() if ks - network}
     assert uncalled == {}
     assert network <= set().union(*checked.values())

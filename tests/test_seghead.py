@@ -182,7 +182,8 @@ def test_loss_decreases_under_small_gradient_step():
 
 def reference_pointwise(x, w, bias):
     """The 1x1 ``conv2d`` recording the ASPP branches ran before their
-    pointwise mix became ``linear``; ``w`` is viewed as (1, 1, Cin, Cout)."""
+    pointwise mix became ``linear``; ``w`` is viewed as (1, 1, Cin, Cout)
+    and its gradient viewed back as (Cin, Cout)."""
     h, wid, cin = x.shape
     wd = w.data.reshape(1, 1, cin, -1)
     cout = wd.shape[3]
@@ -197,7 +198,7 @@ def reference_pointwise(x, w, bias):
         dx = np.zeros_like(xd)
         dw[0, 0] = xd.reshape(-1, cin).T @ g2
         dx += (g2 @ wd[0, 0].T).reshape(h, wid, cin)
-        return dx, dw, g.sum(axis=(0, 1))
+        return dx, dw.reshape(w.shape), g.sum(axis=(0, 1))
 
     return T.record_op("conv2d", out, (x, w, bias), bwd)
 

@@ -479,6 +479,15 @@ def test_record_op_custom_extension():
     np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
 
 
+def test_backward_refuses_a_wrong_shaped_gradient():
+    # a rule whose gradient does not match its input's shape is wrong; the
+    # walk names the op and both shapes rather than reshaping the gradient
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = record_op("flat_rule", x.data * 2, (x,), lambda g: (2 * g.reshape(-1),))
+    with pytest.raises(ShapeError, match=r"'flat_rule'.*\(6,\).*\(2, 3\)"):
+        backward(tsum(y))
+
+
 # ---------------------------------------------------------------------------
 # linear against the per-op recording it replaced
 
