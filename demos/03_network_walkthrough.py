@@ -33,7 +33,7 @@ print(f"fused maps: {[t.shape for t in fused.values()]} "
       f"(last 8 channels are the coordinate grid)")
 
 state = net.cim.forward(lang, fused, cycles=cfg.cycles)
-print(f"\nafter {state.rounds_done} interaction rounds:")
+print(f"\nafter {net.cim.rounds * cfg.cycles} interaction rounds:")
 for lvl in sorted(state.lang):
     print(f"  level {lvl}: language norm {np.linalg.norm(state.lang[lvl].data):.6f} "
           f"(unit by construction), fused {state.fused[lvl].shape}")

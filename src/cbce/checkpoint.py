@@ -2,7 +2,7 @@
 
 Layout: 8-byte magic, u32 version, u64 header length, JSON header, raw
 little-endian tensor payload. The header carries the config snapshot
-(model dims, vocabulary, training settings), the tensor manifest with
+(the config file's sections plus the vocabulary), the tensor manifest with
 offsets, optimizer moments, the step counter, and the generator state,
 so a checkpoint alone can rebuild the model for evaluation.
 
@@ -37,32 +37,29 @@ class Checkpoint:
     rng_state: dict | None = None
 
 
-def _entries(group: str, arrays: dict, offset: int, blobs: list) -> tuple:
-    out = []
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        tag = _DTYPE_TAGS[arr.dtype.name]
-        blob = np.ascontiguousarray(arr).astype(tag, copy=False).tobytes()
-        out.append({
-            "group": group,
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": arr.dtype.name,
-            "offset": offset,
-            "nbytes": len(blob),
-        })
-        blobs.append(blob)
-        offset += len(blob)
-    return out, offset
+# (manifest group, Checkpoint attribute), in payload order
+GROUPS = (("param", "params"), ("adam_m", "adam_m"), ("adam_v", "adam_v"))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     blobs: list = []
-    entries, offset = _entries("param", ckpt.params, 0, blobs)
-    more, offset = _entries("adam_m", ckpt.adam_m, offset, blobs)
-    entries += more
-    more, offset = _entries("adam_v", ckpt.adam_v, offset, blobs)
-    entries += more
+    entries: list = []
+    offset = 0
+    for group, attr in GROUPS:
+        for name, arr in getattr(ckpt, attr).items():
+            arr = np.asarray(arr)
+            tag = _DTYPE_TAGS[arr.dtype.name]
+            blob = np.ascontiguousarray(arr).astype(tag, copy=False).tobytes()
+            entries.append({
+                "group": group,
+                "name": name,
+                "shape": list(arr.shape),
+                "dtype": arr.dtype.name,
+                "offset": offset,
+                "nbytes": len(blob),
+            })
+            blobs.append(blob)
+            offset += len(blob)
     header = json.dumps({
         "config": ckpt.config,
         "step": ckpt.step,
@@ -109,16 +106,17 @@ def load_checkpoint(path) -> Checkpoint:
     if len(payload) < need:
         raise ValueError(f"checkpoint {path} is truncated: tensor payload needs {need} "
                          f"bytes, found {len(payload)}")
-    groups = {"param": {}, "adam_m": {}, "adam_v": {}}
+    groups = {group: {} for group, _ in GROUPS}
     for ent in header["tensors"]:
+        if ent["group"] not in groups:
+            raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} is in unknown "
+                             f"group {ent['group']!r}")
         raw = payload[ent["offset"] : ent["offset"] + ent["nbytes"]]
         arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[ent["dtype"]]).astype(ent["dtype"])
         groups[ent["group"]][ent["name"]] = arr.reshape(ent["shape"])
     return Checkpoint(
         config=header["config"],
-        params=groups["param"],
-        adam_m=groups["adam_m"],
-        adam_v=groups["adam_v"],
+        **{attr: groups[group] for group, attr in GROUPS},
         adam_t=header["adam_t"],
         step=header["step"],
         rng_state=header["rng_state"],

@@ -27,7 +27,6 @@ class CimState:
 
     lang: dict  # level -> Tensor (C_l,)
     fused: dict  # level -> Tensor (H, W, C_v)
-    rounds_done: int
 
 
 class Vlm:
@@ -195,7 +194,7 @@ class Cim:
                 new_lang = {i: self.vlm[i][m].forward(lang[i], fused[i]) for i in TAPS}
                 new_fused = {i: self.lvm[i][m].forward(new_lang[i], fused) for i in TAPS}
                 lang, fused = new_lang, new_fused
-        return CimState(lang=lang, fused=fused, rounds_done=cycles * self.rounds)
+        return CimState(lang=lang, fused=fused)
 
     def parameters(self):
         for i in TAPS:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -379,18 +379,6 @@ class SynthConfig:
         unknown = set(self.classes) - set(SHAPE_FOR_CLASS)
         if unknown:
             raise ValueError(f"no shape generator for classes {sorted(unknown)}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown synth config key(s): {', '.join(unknown)}")
-        d = dict(d)
-        for key in ("classes", "distractor_range", "target_scale", "distractor_scale",
-                    "confuser_scale", "pair_scale"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 def _place_object(cls_name, occupied, scale_range, rng, cfg) -> np.ndarray:

@@ -6,7 +6,7 @@ bilinear fusion with the coordinate grid -> cyclic bilateral interaction
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,21 +45,6 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["backbone_channels"] = list(self.backbone_channels)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown model config key(s): {', '.join(unknown)}")
-        d = dict(d)
-        if "backbone_channels" in d:
-            d["backbone_channels"] = tuple(d["backbone_channels"])
-        return cls(**d)
 
 
 class CbceNet:

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,23 +45,42 @@ class TrainConfig:
             raise ValueError("only batch_size 1 is supported")
 
 
+def _section(cls, raw: dict, name: str, **given):
+    """cls built from one config section; ``given`` holds the fields that
+    other sections set. A JSON list becomes a tuple wherever the field's
+    default is a tuple."""
+    known = {f.name: f for f in fields(cls) if f.name not in given}
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {name} config key(s): {', '.join(unknown)}")
+    values = {k: tuple(v) if isinstance(known[k].default, tuple) else v for k, v in raw.items()}
+    return cls(**values, **given)
+
+
+def config_from_dict(raw: dict) -> TrainConfig:
+    """TrainConfig from the sectioned layout {seed, model, train, synth};
+    the synth seed and phrase count default to the run's."""
+    unknown = sorted(set(raw) - {"seed", "model", "train", "synth", "_comment"})
+    if unknown:
+        raise ValueError(f"unknown top-level config key(s): {', '.join(unknown)}")
+    seed = raw.get("seed", TrainConfig.seed)
+    model = _section(ModelConfig, raw.get("model", {}), "model")
+    synth = _section(SynthConfig, {"seed": seed, "n_phrases": model.n_phrases,
+                                   **raw.get("synth", {})}, "synth")
+    return _section(TrainConfig, raw.get("train", {}), "train", seed=seed, model=model, synth=synth)
+
+
+def config_to_dict(cfg: TrainConfig) -> dict:
+    """The inverse of config_from_dict, in the same sectioned layout."""
+    train = asdict(cfg)
+    return {"seed": train.pop("seed"), "model": train.pop("model"),
+            "synth": train.pop("synth"), "train": train}
+
+
 def load_config(path) -> TrainConfig:
     """Read the sectioned JSON config ({seed, train, model, synth})."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    seed = raw.get("seed", 7)
-    model = ModelConfig.from_dict(raw.get("model", {}))
-    synth_section = dict(raw.get("synth", {}))
-    synth_section.setdefault("seed", seed)
-    synth_section.setdefault("n_phrases", model.n_phrases)
-    synth = SynthConfig.from_dict(synth_section)
-    train_section = raw.get("train", {})
-    # seed, model and synth are sections of their own, not train keys
-    allowed = {f.name for f in fields(TrainConfig)} - {"seed", "model", "synth"}
-    unknown = sorted(set(train_section) - allowed)
-    if unknown:
-        raise ValueError(f"unknown train config key(s): {', '.join(unknown)}")
-    return TrainConfig(seed=seed, model=model, synth=synth, **train_section)
+        return config_from_dict(json.load(fh))
 
 
 @dataclass
@@ -84,19 +103,7 @@ def _checkpoint_from(model: CbceNet, cfg: TrainConfig, vocab: Vocabulary,
     # plus the step counter is the complete generator state
     rng_state = {"scheme": "counter-keyed", "seed": cfg.seed, "next_step": step}
     return Checkpoint(
-        config={
-            "model": cfg.model.to_dict(),
-            "train": {
-                "seed": cfg.seed,
-                "epochs": cfg.epochs,
-                "base_lr": cfg.base_lr,
-                "weight_decay": cfg.weight_decay,
-                "poly_power": cfg.poly_power,
-                "batch_size": cfg.batch_size,
-                "crop_size": cfg.crop_size,
-            },
-            "vocab": vocab.tokens,
-        },
+        config={**config_to_dict(cfg), "vocab": vocab.tokens},
         params={k: t.data for k, t in model.parameters().items()},
         adam_m=state.m,
         adam_v=state.v,
@@ -109,13 +116,15 @@ def _checkpoint_from(model: CbceNet, cfg: TrainConfig, vocab: Vocabulary,
 def model_from_checkpoint(ckpt: Checkpoint):
     """(model, vocab) rebuilt from a checkpoint's config snapshot.
 
-    The model is an inference model: its parameters are frozen
+    Only the snapshot's ``model`` section is parsed; its layout never
+    changed, so checkpoints written before the snapshot held the whole
+    config still load. The model is an inference model: its parameters are frozen
     (``requires_grad = False``), so a forward pass records no graph and
     keeps no activations for a backward pass. Resuming training from a
     checkpoint must not build its model through this function.
     """
     vocab = Vocabulary(list(ckpt.config["vocab"]))
-    model = CbceNet(ModelConfig.from_dict(ckpt.config["model"]), len(vocab), rng=0)
+    model = CbceNet(_section(ModelConfig, ckpt.config["model"], "model"), len(vocab), rng=0)
     model.load_state(ckpt.params)
     for p in model.parameters().values():
         p.requires_grad = False

@@ -149,7 +149,6 @@ def _micro_cim(seed=13, rounds=2):
 def test_cim_shapes_and_norms_toy():
     cim, lang0, fused0 = _micro_cim()
     state = cim.forward(lang0, fused0, cycles=1)
-    assert state.rounds_done == 2
     for i in (3, 4, 5):
         assert state.fused[i].shape == (2, 2, 4)
         assert abs(np.linalg.norm(state.lang[i].data) - 1.0) < 1e-6
@@ -198,7 +197,6 @@ def test_cim_cycles_compose():
     for i in (3, 4, 5):
         np.testing.assert_array_equal(twice.fused[i].data, fused[i].data)
         np.testing.assert_array_equal(twice.lang[i].data, lang[i].data)
-    assert twice.rounds_done == 4
 
 
 def test_cim_full_gradient_check_micro():

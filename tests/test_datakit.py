@@ -1,4 +1,5 @@
 """Dataset generation, file formats, phrase sampling, augmentation."""
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,6 +27,7 @@ from cbce.datakit import (
     write_pgm,
     write_ppm,
 )
+from cbce.train import load_config
 
 
 def test_netpbm_round_trip(tmp_path):
@@ -126,8 +128,7 @@ TOY_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json"
 
 
 def _toy_synth(seed):
-    with open(TOY_CONFIG, encoding="utf-8") as fh:
-        return SynthConfig.from_dict({**json.load(fh)["synth"], "seed": seed})
+    return dataclasses.replace(load_config(TOY_CONFIG).synth, seed=seed)
 
 
 def _record_digest(record):

@@ -578,7 +578,8 @@ def reference_backward(loss):
             if g is None or edge is None:
                 continue
             if g.shape != edge.shape:
-                g = g.reshape(edge.shape)
+                raise ShapeError(f"backward of '{node.op}' returned a {g.shape} gradient "
+                                 f"for a {edge.shape} input")
             key = id(edge)
             if key in grads:
                 grads[key] = grads[key] + g

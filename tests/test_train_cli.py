@@ -6,12 +6,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbce import checkpoint as checkpoint_mod
 from cbce import train as train_mod
 from cbce.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cbce.cli import main
 from cbce.datakit import (
+    SHAPE_FOR_CLASS,
     ManifestRecord,
     SynthConfig,
     load_manifest,
@@ -23,6 +26,8 @@ from cbce.model import CbceNet, ModelConfig
 from cbce.tensor import NumericError
 from cbce.train import (
     TrainConfig,
+    config_from_dict,
+    config_to_dict,
     evaluate_checkpoint,
     infer,
     load_config,
@@ -462,17 +467,94 @@ def test_shipped_configs_load(path):
     assert cfg.model.dtype == raw["model"]["dtype"]
     for key, value in raw["train"].items():
         assert getattr(cfg, key) == value
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 @pytest.mark.parametrize("section,key", [("model", "c_vv"), ("train", "epoch"),
-                                         ("train", "seed"), ("synth", "sizes")])
+                                         ("train", "seed"), ("synth", "sizes"),
+                                         ("top-level", "modle")])
 def test_cli_unknown_config_key_is_a_validation_error(tmp_path, capsys, section, key):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({section: {key: 3}}))
+    if section == "top-level":
+        # misspelled sections used to load silently with the default settings
+        raw = {key: {"c_l": 8}, "trian": {"epochs": 1}}
+    else:
+        raw = {section: {key: 3}}
+    path.write_text(json.dumps(raw))
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and section in err and key in err
     assert not (tmp_path / "data").exists()
+
+
+# any finite float survives a JSON round trip exactly
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base_lr=_finite,
+    crop_size=st.none() | st.integers(1, 512),
+    max_steps=st.none() | st.integers(1, 10**6),
+    backbone=st.lists(st.integers(1, 64), min_size=5, max_size=5).map(tuple),
+    dtype=st.sampled_from(["float32", "float64"]),
+    cycles=st.integers(1, 3),
+    classes=st.lists(st.sampled_from(sorted(SHAPE_FOR_CLASS)), min_size=2,
+                     unique=True).map(tuple),
+    target_scale=st.tuples(_finite, _finite),
+    synth_seed=st.integers(0, 2**32 - 1),
+)
+def test_config_round_trips_through_json(seed, base_lr, crop_size, max_steps, backbone, dtype,
+                                         cycles, classes, target_scale, synth_seed):
+    cfg = TrainConfig(
+        seed=seed, base_lr=base_lr, crop_size=crop_size, max_steps=max_steps,
+        model=ModelConfig(backbone_channels=backbone, dtype=dtype, cycles=cycles),
+        synth=SynthConfig(classes=classes, target_scale=target_scale, seed=synth_seed),
+    )
+    raw = json.loads(json.dumps(config_to_dict(cfg)))
+    assert isinstance(raw["model"]["backbone_channels"], list)
+    assert config_from_dict(raw) == cfg
+
+
+def test_checkpoint_config_parses_back_to_the_run_config(tiny_ckpt):
+    config = load_checkpoint(tiny_ckpt).config
+    assert config["vocab"][:2] == ["<pad>", "<unk>"]
+    cfg = config_from_dict({k: v for k, v in config.items() if k != "vocab"})
+    assert cfg == _tiny_config(max_steps=2)
+    assert cfg.max_steps == 2 and cfg.synth.size == 48  # neither was recorded before
+
+
+def test_old_layout_checkpoint_still_evaluates(tmp_path, tiny_data, tiny_ckpt, capsys):
+    # checkpoints written before the header held the whole config: the run
+    # seed sat inside "train", and max_steps and "synth" were missing
+    ckpt = load_checkpoint(tiny_ckpt)
+    ckpt.config = {
+        "model": ckpt.config["model"],
+        "train": {"seed": 3, "epochs": 1, "base_lr": 1e-3, "weight_decay": 5e-4,
+                  "poly_power": 0.9, "batch_size": 1, "crop_size": None},
+        "vocab": ckpt.config["vocab"],
+    }
+    path = tmp_path / "old.cbce"
+    save_checkpoint(path, ckpt)
+    model, _ = model_from_checkpoint(load_checkpoint(path))
+    assert model.cfg == _tiny_config().model
+    assert main(["eval", "--ckpt", str(path), "--data", tiny_data, "--limit", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["images"] == 2
+
+
+def test_tensor_in_unknown_group_is_a_validation_error(tmp_path, tiny_data, tiny_ckpt,
+                                                       monkeypatch, capsys):
+    # such an entry used to escape `cbce eval` as a KeyError
+    ckpt, path = load_checkpoint(tiny_ckpt), tmp_path / "odd.cbce"
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint_mod, "GROUPS", checkpoint_mod.GROUPS + (("adam_w", "adam_m"),))
+        save_checkpoint(path, ckpt)
+    with pytest.raises(ValueError, match="unknown group 'adam_w'"):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path), "--data", tiny_data]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "adam_w" in err
 
 
 @pytest.mark.parametrize("dtype", ["float16", "int32", "bfloat"])
@@ -532,7 +614,7 @@ def test_load_state_copies_into_existing_buffers(tiny_ckpt):
     from cbce.optim import AdamState, adam_step
 
     ckpt = load_checkpoint(tiny_ckpt)
-    model = CbceNet(ModelConfig.from_dict(ckpt.config["model"]),
+    model = CbceNet(config_from_dict({"model": ckpt.config["model"]}).model,
                     len(ckpt.config["vocab"]), rng=1)
     params = model.parameters()
     state = AdamState.for_params(params)
