@@ -111,6 +111,9 @@ def load_checkpoint(path) -> Checkpoint:
         if ent["group"] not in groups:
             raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} is in unknown "
                              f"group {ent['group']!r}")
+        if ent["dtype"] not in _DTYPE_TAGS:
+            raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} has unsupported "
+                             f"dtype {ent['dtype']!r}")
         raw = payload[ent["offset"] : ent["offset"] + ent["nbytes"]]
         arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[ent["dtype"]]).astype(ent["dtype"])
         groups[ent["group"]][ent["name"]] = arr.reshape(ent["shape"])

@@ -60,11 +60,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=0.5)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op")
-    p.add_argument("--op", action="append", default=None, help="restrict to named ops")
+    p.add_argument("--op", action="append", default=None, help="restrict to named entries")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=_positive_int, default=20, help="random draws per op")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--skip-pipeline", action="store_true")
     return parser
 
 
@@ -120,12 +119,8 @@ def _cmd_infer(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .gradcheck import run_suite
 
-    reports = run_suite(
-        seeds=[args.seed + i for i in range(args.seeds)],
-        ops=args.op,
-        tol=args.tol,
-        include_pipeline=not args.skip_pipeline,
-    )
+    reports = run_suite(seeds=[args.seed + i for i in range(args.seeds)], ops=args.op,
+                        tol=args.tol)
     failed = 0
     for rep in sorted(reports, key=lambda r: r.label):
         status = "pass" if rep.passed else "FAIL"

@@ -153,26 +153,24 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return record_op("global_avg_pool", out, (x,), bwd)
 
 
-def avg_pool2d(x: Tensor, window: int = 2) -> Tensor:
-    """Non-overlapping window mean with ceil semantics.
+def avg_pool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 mean with ceil semantics.
 
-    Inputs that do not fill the last window are edge-replicated before
+    An odd height or width is edge-replicated by one row or column before
     pooling, so the output always covers the full spatial extent and the
     cell-to-pixel geometry stays consistent across input sizes.
     """
     if x.ndim != 3:
         raise ShapeError(f"avg_pool2d input must be (H, W, C), got {x.shape}")
-    if window < 1 or min(x.shape[0], x.shape[1]) < window:
-        raise ShapeError(f"avg_pool2d window {window} too large for input {x.shape}")
+    if min(x.shape[0], x.shape[1]) < 2:
+        raise ShapeError(f"avg_pool2d needs at least 2x2 input, got {x.shape}")
     h, w, c = x.shape
-    ph = (-h) % window
-    pw = (-w) % window
+    ph, pw = h % 2, w % 2
     xp = _pad_edge(x.data, (0, ph), (0, pw))
-    ho, wo = xp.shape[0] // window, xp.shape[1] // window
-    out = xp.reshape(ho, window, wo, window, c).mean(axis=(1, 3))
+    out = xp.reshape(xp.shape[0] // 2, 2, xp.shape[1] // 2, 2, c).mean(axis=(1, 3))
 
     def bwd(g):
-        spread = np.repeat(np.repeat(g, window, axis=0), window, axis=1) / (window * window)
+        spread = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4
         return (_fold_pad_gradient(spread, (0, ph), (0, pw)),)
 
     return record_op("avg_pool2d", out, (x,), bwd)

@@ -22,24 +22,21 @@ from .encoders import Vocabulary
 # netpbm I/O
 
 
-def write_ppm(path, image: np.ndarray) -> None:
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
-        raise ValueError(f"PPM wants (H, W, 3) uint8, got {image.shape} {image.dtype}")
-    h, w, _ = image.shape
+def write_netpbm(path, pixels: np.ndarray) -> None:
+    """An (H, W, 3) uint8 image as P6, an (H, W) uint8 mask as P5."""
+    pixels = np.asarray(pixels)
+    if pixels.dtype != np.uint8 or pixels.ndim < 2 or pixels.shape[2:] not in ((), (3,)):
+        raise ValueError(f"netpbm wants (H, W) or (H, W, 3) uint8, got {pixels.shape} "
+                         f"{pixels.dtype}")
+    h, w = pixels.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+        fh.write(f"{'P6' if pixels.ndim == 3 else 'P5'}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
 
 
-def write_pgm(path, mask: np.ndarray) -> None:
-    mask = np.asarray(mask)
-    if mask.ndim != 2 or mask.dtype != np.uint8:
-        raise ValueError(f"PGM wants (H, W) uint8, got {mask.shape} {mask.dtype}")
-    h, w = mask.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(mask.tobytes())
+def write_mask(path, mask: np.ndarray) -> None:
+    """A binary mask as a P5 file, 255 where ``mask`` is set."""
+    write_netpbm(path, np.where(mask, 255, 0).astype(np.uint8))
 
 
 def _read_netpbm_header(fh):
@@ -57,26 +54,28 @@ def _read_netpbm_header(fh):
     return magic, w, h
 
 
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, w, h = _read_netpbm_header(fh)
-        if magic != b"P6":
-            raise ValueError(f"not a binary PPM: magic {magic!r}")
-        buf = fh.read(w * h * 3)
-    if len(buf) != w * h * 3:
-        raise ValueError(f"truncated PPM payload in {path}")
-    return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, 3)
+# pixel shape after (H, W) per binary netpbm magic
+_PIXEL_SHAPE = {b"P5": (), b"P6": (3,)}
 
 
-def read_pgm(path) -> np.ndarray:
+def read_netpbm(path, magic: bytes) -> np.ndarray:
+    """uint8 pixels of a binary netpbm file whose magic must be ``magic``:
+    (H, W, 3) for P6, (H, W) for P5."""
     with open(path, "rb") as fh:
-        magic, w, h = _read_netpbm_header(fh)
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM: magic {magic!r}")
-        buf = fh.read(w * h)
-    if len(buf) != w * h:
-        raise ValueError(f"truncated PGM payload in {path}")
-    return np.frombuffer(buf, dtype=np.uint8).reshape(h, w)
+        found, w, h = _read_netpbm_header(fh)
+        if found != magic:
+            raise ValueError(f"{path}: netpbm magic {found!r}, expected {magic!r}")
+        shape = (h, w) + _PIXEL_SHAPE[magic]
+        n = int(np.prod(shape))
+        buf = fh.read(n)
+    if len(buf) != n:
+        raise ValueError(f"truncated netpbm payload in {path}")
+    return np.frombuffer(buf, dtype=np.uint8).reshape(shape)
+
+
+def load_image(path) -> np.ndarray:
+    """A P6 image as float64 in [0, 1]."""
+    return read_netpbm(path, b"P6").astype(np.float64) / 255.0
 
 
 def netpbm_size(path) -> tuple:
@@ -100,11 +99,11 @@ class ManifestRecord:
 
     def load_image(self) -> np.ndarray:
         """Image as float64 in [0, 1]."""
-        return read_ppm(self.image_path).astype(np.float64) / 255.0
+        return load_image(self.image_path)
 
     def load_mask(self) -> np.ndarray:
         """Mask as float64 in {0, 1}."""
-        return (read_pgm(self.mask_path) > 127).astype(np.float64)
+        return (read_netpbm(self.mask_path, b"P5") > 127).astype(np.float64)
 
 
 _REQUIRED_FIELDS = ("id", "image", "mask", "affordance", "phrases")
@@ -370,7 +369,6 @@ class SynthConfig:
     confuser_scale: tuple = (28.0, 40.0)
     distractor_scale: tuple = (14.0, 24.0)
     pair_scale: tuple = (26.0, 34.0)
-    max_tries: int = 400
 
     def __post_init__(self):
         self.classes = tuple(self.classes)
@@ -379,6 +377,11 @@ class SynthConfig:
         unknown = set(self.classes) - set(SHAPE_FOR_CLASS)
         if unknown:
             raise ValueError(f"no shape generator for classes {sorted(unknown)}")
+
+
+# placements tried per object, and redraws of a record whose objects do not fit
+MAX_TRIES = 400
+RECORD_ATTEMPTS = 4
 
 
 def _place_object(cls_name, occupied, scale_range, rng, cfg) -> np.ndarray:
@@ -391,8 +394,8 @@ def _place_object(cls_name, occupied, scale_range, rng, cfg) -> np.ndarray:
     canvas = cfg.size
     lo, hi = scale_range
     floor = min(lo, 12.0)
-    for attempt in range(cfg.max_tries):
-        frac = attempt / cfg.max_tries
+    for attempt in range(MAX_TRIES):
+        frac = attempt / MAX_TRIES
         hi_k = hi + (lo - hi) * min(1.0, frac / 0.5)
         lo_k = lo + (floor - lo) * max(0.0, (frac - 0.5) / 0.5)
         size = rng.uniform(lo_k, hi_k) if hi_k > lo_k else lo_k
@@ -405,7 +408,7 @@ def _place_object(cls_name, occupied, scale_range, rng, cfg) -> np.ndarray:
         mask = rasterize_shape(SHAPE_FOR_CLASS[cls_name], canvas, cy, cx, size, orient)
         if mask.any() and not (mask & occupied).any():
             return mask
-    raise PlacementError(f"could not place {cls_name!r} after {cfg.max_tries} tries")
+    raise PlacementError(f"could not place {cls_name!r} after {MAX_TRIES} tries")
 
 
 def _render(canvas: int, layers, rng) -> np.ndarray:
@@ -417,9 +420,6 @@ def _render(canvas: int, layers, rng) -> np.ndarray:
         img[mask] = base + jitter
     img += rng.normal(0.0, 4.0, size=img.shape)
     return np.clip(img, 0, 255).astype(np.uint8)
-
-
-RECORD_ATTEMPTS = 4
 
 
 def generate_record(cfg: SynthConfig, idx: int):
@@ -468,8 +468,8 @@ def synth_generate(cfg: SynthConfig, out_dir) -> list:
         rec_id = f"s{idx:05d}"
         image_path = os.path.join(out_dir, "images", f"{rec_id}.ppm")
         mask_path = os.path.join(out_dir, "masks", f"{rec_id}.pgm")
-        write_ppm(image_path, image)
-        write_pgm(mask_path, np.where(mask, 255, 0).astype(np.uint8))
+        write_netpbm(image_path, image)
+        write_mask(mask_path, mask)
         records.append(ManifestRecord(rec_id, image_path, mask_path, affordance, phrases))
     save_manifest(records, os.path.join(out_dir, "manifest.jsonl"))
     train, test = split_records(records)
@@ -500,11 +500,11 @@ def generate_pair_fixtures(cfg: SynthConfig, out_dir, count: int = 50) -> list:
         mask_b = _place_object(cls_b, occupied, cfg.pair_scale, rng, cfg)
         image = _render(cfg.size, [(mask_a, cls_a), (mask_b, cls_b)], rng)
         image_path = os.path.join(out_dir, "images", f"p{idx:04d}.ppm")
-        write_ppm(image_path, image)
+        write_netpbm(image_path, image)
         for tag, cls_name, mask in (("a", cls_a, mask_a), ("b", cls_b, mask_b)):
             rec_id = f"p{idx:04d}{tag}"
             mask_path = os.path.join(out_dir, "masks", f"{rec_id}.pgm")
-            write_pgm(mask_path, np.where(mask, 255, 0).astype(np.uint8))
+            write_mask(mask_path, mask)
             phrases = phrase_sample(DEFAULT_BANK, cls_name, cfg.n_phrases, rng)
             records.append(ManifestRecord(rec_id, image_path, mask_path, cls_name, phrases))
     save_manifest(records, os.path.join(out_dir, "pairs.jsonl"))

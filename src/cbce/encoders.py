@@ -148,7 +148,7 @@ class VisualEncoder:
         x = image
         levels = {}
         for idx, (w, b) in enumerate(self.stages, start=1):
-            x = avg_pool2d(relu(conv2d(x, w, b)), window=2)
+            x = avg_pool2d(relu(conv2d(x, w, b)))
             if idx in TAPS:
                 feat = linear(x, *self.proj[idx])
                 levels[idx] = bilinear_upsample(feat, self.feat_h, self.feat_w)

@@ -8,7 +8,7 @@ drives both sides of the comparison.
 ``standard_op_suite`` enumerates every differentiable operation with
 randomized small shapes; ``micro_pipeline_entry`` wires the attention ->
 gated-aggregation -> multi-scale-head -> cross-entropy chain into one
-checkable graph. The command line exposes both through ``cbce gradcheck``.
+checkable graph. ``run_suite`` checks both, and ``cbce gradcheck`` runs it.
 """
 from __future__ import annotations
 
@@ -189,7 +189,7 @@ def standard_op_suite() -> dict:
 
     def avgpool_entry(rng):
         x = _rt(rng, 5, 5, 2)  # odd size exercises the replicated edge
-        return (lambda x: convops.avg_pool2d(x, window=2)), [x]
+        return (lambda x: convops.avg_pool2d(x)), [x]
 
     def upsample_entry(rng):
         x = _rt(rng, 3, 3, 2)
@@ -218,43 +218,34 @@ def standard_op_suite() -> dict:
     }
 
 
-def micro_pipeline_entry():
-    """Builder for the composed attention/gating/head/loss micro-graph.
+def micro_pipeline_entry(rng):
+    """(fn, inputs) of the composed attention/gating/head/loss micro-graph.
 
     Three 2x2 fused maps and a language vector flow through one round of
     the interaction schedule (a vision-to-language update and a gated
     aggregation per level), the multi-scale head, and the summed cross
     entropy. Every parameter is a checked input.
     """
-    def build(rng):
-        h = w = 2
-        c_v, c_l, c_a = 3, 3, 2
-        feats = {i: _rt(rng, h, w, c_v, scale=0.5) for i in TAPS}
-        lang = _rt(rng, c_l, scale=0.5)
-        cim = Cim(c_l, c_v, rounds=1, rng=rng)
-        head = SegHead(len(TAPS) * c_v, c_a, rng=rng)
-        target = (rng.random((2 * h, 2 * w)) > 0.5).astype(np.float64)
-        params = [t for mod in (cim, head) for _, t in mod.parameters()]
+    h = w = 2
+    c_v, c_l, c_a = 3, 3, 2
+    feats = {i: _rt(rng, h, w, c_v, scale=0.5) for i in TAPS}
+    lang = _rt(rng, c_l, scale=0.5)
+    cim = Cim(c_l, c_v, rounds=1, rng=rng)
+    head = SegHead(len(TAPS) * c_v, c_a, rng=rng)
+    target = (rng.random((2 * h, 2 * w)) > 0.5).astype(np.float64)
+    params = [t for mod in (cim, head) for _, t in mod.parameters()]
 
-        def fn(*_):
-            pred = head.forward(cim.forward(lang, feats).fused, (2 * h, 2 * w))
-            return T.bce_with_logits_sum(pred.logits, target)
+    def fn(*_):
+        pred = head.forward(cim.forward(lang, feats).fused, (2 * h, 2 * w))
+        return T.bce_with_logits_sum(pred.logits, target)
 
-        return fn, [lang, *feats.values(), *params]
-
-    return build
+    return fn, [lang, *feats.values(), *params]
 
 
-def run_suite(
-    seeds=range(20),
-    ops=None,
-    tol: float = 1e-4,
-    include_pipeline: bool = True,
-) -> list[GradCheckReport]:
-    """Run the randomized gradient suite; one report per (op, worst seed)."""
-    suite = standard_op_suite()
-    if include_pipeline:
-        suite["vlm_lvm_aspp_bce"] = micro_pipeline_entry()
+def run_suite(seeds=range(20), ops=None, tol: float = 1e-4) -> list[GradCheckReport]:
+    """Run the randomized gradient suite and the micro-graph, or the entries
+    named in ``ops``; one report per (entry, worst seed)."""
+    suite = {**standard_op_suite(), "vlm_lvm_aspp_bce": micro_pipeline_entry}
     if ops:
         missing = set(ops) - set(suite)
         if missing:

@@ -187,8 +187,7 @@ class MetricReport:
             overall=d["overall"],
             threshold=d["threshold"],
             beta_sq=d["beta_sq"],
-            # reports written before cc_images existed: recount from the rows
-            cc_images=d.get("cc_images") or _cc_images(rows),
+            cc_images=d["cc_images"],
         )
 
 
@@ -216,26 +215,23 @@ def _cc_images(rows) -> dict:
             "overall": count(rows)}
 
 
-def evaluate_dataset(predictions, records, threshold: float = 0.5, beta_sq: float = 0.3,
-                     masks=None) -> MetricReport:
-    """Score one probability map per manifest record.
+def evaluate_dataset(predict, records, threshold: float = 0.5,
+                     beta_sq: float = 0.3) -> MetricReport:
+    """Score ``predict(record)``, a probability map, against the record's
+    mask file for each manifest record.
 
-    ``predictions`` maps record id -> probability map, or is a function
-    record -> map, called as each record is scored so that one map is alive
-    at a time; ``masks`` maps record id -> binary ground truth (loaded from
-    the record's mask file when omitted). Overall numbers are unweighted
-    means over images; cc is averaged over the images where it is defined,
-    counted in ``cc_images``.
+    ``predict`` is called as each record is scored, so that one map is
+    alive at a time. Overall numbers are unweighted means over images; cc
+    is averaged over the images where it is defined, counted in
+    ``cc_images``.
     """
     records = list(records)
     if not records:
         raise ValueError("empty manifest: nothing to evaluate")
     report = MetricReport(threshold=threshold, beta_sq=beta_sq)
     for rec in records:
-        if not callable(predictions) and rec.id not in predictions:
-            raise ValueError(f"missing prediction for record {rec.id!r}")
-        gt = masks[rec.id] if masks is not None else rec.load_mask()
-        pred = predictions(rec) if callable(predictions) else predictions[rec.id]
+        gt = rec.load_mask()
+        pred = predict(rec)
         scores = score_pair(pred, gt, threshold, beta_sq)
         del pred  # gone before the next record's map is made
         report.per_image.append(MetricRow(sample=rec.id, affordance=rec.affordance, **scores))

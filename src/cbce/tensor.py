@@ -40,9 +40,6 @@ import itertools
 
 import numpy as np
 
-FLOAT_DTYPES = (np.float32, np.float64)
-DEFAULT_DTYPE = np.float64
-
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -81,17 +78,15 @@ class Tensor:
     """n-dimensional float32/float64 value with an optional gradient.
 
     ``grad`` is None until a backward pass reaches this tensor, and only
-    leaves (``node`` None) get one. Data is row-major; spatial maps use H x
-    W x C axis order throughout the package.
+    leaves (``node`` None) get one. Data is row-major and keeps the dtype it
+    is given (callers pass float32 or float64); spatial maps use H x W x C
+    axis order throughout the package.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in FLOAT_DTYPES:
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.node = None

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .datakit import SynthConfig, augment, load_manifest, read_ppm, write_pgm
+from .datakit import SynthConfig, augment, load_image, load_manifest, write_mask
 from .encoders import Vocabulary
-from .metrics import MetricReport, _binarize, check_beta_sq, check_threshold, evaluate_dataset
+from .metrics import MetricReport, check_beta_sq, check_threshold, evaluate_dataset
 from .model import CbceNet, ModelConfig
 from .optim import AdamState, adam_step, poly_lr
 from .tensor import NumericError, backward
@@ -45,12 +45,19 @@ class TrainConfig:
             raise ValueError("only batch_size 1 is supported")
 
 
+def _object(raw, name: str) -> dict:
+    """raw, refused by section name unless it is a JSON object."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name} config must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def _section(cls, raw: dict, name: str, **given):
     """cls built from one config section; ``given`` holds the fields that
     other sections set. A JSON list becomes a tuple wherever the field's
     default is a tuple."""
     known = {f.name: f for f in fields(cls) if f.name not in given}
-    unknown = sorted(set(raw) - set(known))
+    unknown = sorted(set(_object(raw, name)) - set(known))
     if unknown:
         raise ValueError(f"unknown {name} config key(s): {', '.join(unknown)}")
     values = {k: tuple(v) if isinstance(known[k].default, tuple) else v for k, v in raw.items()}
@@ -60,13 +67,14 @@ def _section(cls, raw: dict, name: str, **given):
 def config_from_dict(raw: dict) -> TrainConfig:
     """TrainConfig from the sectioned layout {seed, model, train, synth};
     the synth seed and phrase count default to the run's."""
+    _object(raw, "top-level")
     unknown = sorted(set(raw) - {"seed", "model", "train", "synth", "_comment"})
     if unknown:
         raise ValueError(f"unknown top-level config key(s): {', '.join(unknown)}")
     seed = raw.get("seed", TrainConfig.seed)
     model = _section(ModelConfig, raw.get("model", {}), "model")
     synth = _section(SynthConfig, {"seed": seed, "n_phrases": model.n_phrases,
-                                   **raw.get("synth", {})}, "synth")
+                                   **_object(raw.get("synth", {}), "synth")}, "synth")
     return _section(TrainConfig, raw.get("train", {}), "train", seed=seed, model=model, synth=synth)
 
 
@@ -257,11 +265,9 @@ def infer(ckpt_path, image_path, phrases, out_prefix, threshold: float = 0.5):
     if unknown:
         print(f"warning: unknown tokens mapped to UNK: {sorted(set(unknown))}",
               file=sys.stderr)
-    image = read_ppm(image_path).astype(np.float64) / 255.0
-    pred = model.forward(image, vocab.encode_phrases(phrases))
-    probs = pred.prob_map
-    mask = _binarize(probs, threshold)
-    write_pgm(f"{out_prefix}_mask.pgm", np.where(mask, 255, 0).astype(np.uint8))
+    probs = model.forward(load_image(image_path), vocab.encode_phrases(phrases)).prob_map
+    mask = probs >= threshold
+    write_mask(f"{out_prefix}_mask.pgm", mask)
     np.save(f"{out_prefix}_probs.npy", probs)
     stats = {
         "foreground_fraction": float(mask.mean()),

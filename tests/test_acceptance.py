@@ -70,7 +70,7 @@ def toy_run(toy_cfg, toy_data, tmp_path_factory):
 
 def test_criterion_1_gradient_suite():
     t0 = time.time()
-    reports = run_suite(seeds=range(20), include_pipeline=True)
+    reports = run_suite(seeds=range(20))
     elapsed = time.time() - t0
     failed = [r.label for r in reports if not r.passed]
     covered = set(r.label for r in reports)
@@ -273,8 +273,7 @@ def test_criterion_7_determinism_and_persistence(toy_cfg, toy_data, tmp_path_fac
     save_manifest(records, os.path.join(tmp, "copy.jsonl"))
     manifest_ok = load_manifest(os.path.join(tmp, "copy.jsonl")) == records
 
-    masks = {r.id: r.load_mask() for r in records[:5]}
-    report = evaluate_dataset(masks, records[:5], masks=masks)
+    report = evaluate_dataset(lambda r: r.load_mask(), records[:5])
     report.write_json(os.path.join(tmp, "report.json"))
     report_ok = MetricReport.from_json(os.path.join(tmp, "report.json")).to_dict() == \
         report.to_dict()

@@ -15,17 +15,17 @@ from cbce.datakit import (
     augment,
     generate_pair_fixtures,
     generate_record,
+    load_image,
     load_manifest,
     netpbm_size,
     phrase_sample,
     rasterize_shape,
-    read_pgm,
-    read_ppm,
+    read_netpbm,
     save_manifest,
     split_records,
     synth_generate,
-    write_pgm,
-    write_ppm,
+    write_mask,
+    write_netpbm,
 )
 from cbce.train import load_config
 
@@ -34,18 +34,38 @@ def test_netpbm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, size=(9, 7, 3), dtype=np.uint8)
     msk = rng.integers(0, 2, size=(9, 7), dtype=np.uint8) * 255
-    write_ppm(tmp_path / "x.ppm", img)
-    write_pgm(tmp_path / "x.pgm", msk)
-    np.testing.assert_array_equal(read_ppm(tmp_path / "x.ppm"), img)
-    np.testing.assert_array_equal(read_pgm(tmp_path / "x.pgm"), msk)
+    write_netpbm(tmp_path / "x.ppm", img)
+    write_netpbm(tmp_path / "x.pgm", msk)
+    np.testing.assert_array_equal(read_netpbm(tmp_path / "x.ppm", b"P6"), img)
+    np.testing.assert_array_equal(read_netpbm(tmp_path / "x.pgm", b"P5"), msk)
     assert netpbm_size(tmp_path / "x.ppm") == (9, 7)
+    np.testing.assert_array_equal(load_image(tmp_path / "x.ppm"), img / 255.0)
+    write_mask(tmp_path / "m.pgm", msk > 0)
+    assert (tmp_path / "m.pgm").read_bytes() == (tmp_path / "x.pgm").read_bytes()
+    with pytest.raises(ValueError, match="uint8"):
+        write_netpbm(tmp_path / "y.ppm", img.astype(np.float64))
+    with pytest.raises(ValueError, match="uint8"):
+        write_netpbm(tmp_path / "y.ppm", img[..., :2])
+
+
+def test_read_netpbm_refuses_malformed_files(tmp_path):
+    path = tmp_path / "x.pgm"
+    write_netpbm(path, np.zeros((4, 5), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"magic b'P5', expected b'P6'"):
+        read_netpbm(path, b"P6")
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="truncated netpbm payload"):
+        read_netpbm(path, b"P5")
+    path.write_bytes(b"P5\n5 4\n65535\n" + bytes(40))
+    with pytest.raises(ValueError, match="maxval 255"):
+        read_netpbm(path, b"P5")
 
 
 def test_manifest_round_trip(tmp_path):
     img = np.zeros((4, 4, 3), dtype=np.uint8)
     msk = np.zeros((4, 4), dtype=np.uint8)
-    write_ppm(tmp_path / "a.ppm", img)
-    write_pgm(tmp_path / "a.pgm", msk)
+    write_netpbm(tmp_path / "a.ppm", img)
+    write_netpbm(tmp_path / "a.pgm", msk)
     recs = [ManifestRecord("a", str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm"),
                            "roll", ["can roll", "spherical"])]
     save_manifest(recs, tmp_path / "m.jsonl")
@@ -75,8 +95,8 @@ def test_manifest_error_reporting(tmp_path):
 
 
 def test_manifest_size_mismatch(tmp_path):
-    write_ppm(tmp_path / "a.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
-    write_pgm(tmp_path / "a.pgm", np.zeros((5, 4), dtype=np.uint8))
+    write_netpbm(tmp_path / "a.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+    write_netpbm(tmp_path / "a.pgm", np.zeros((5, 4), dtype=np.uint8))
     recs = [ManifestRecord("a", str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm"),
                            "roll", ["p"])]
     save_manifest(recs, tmp_path / "m.jsonl")
@@ -195,6 +215,23 @@ def test_synth_outputs_byte_identical(tmp_path):
         assert (tmp_path / "one" / sub).read_bytes() == (tmp_path / "two" / sub).read_bytes()
 
 
+def test_synth_outputs_match_the_pinned_digest(tmp_path):
+    # pins the writers' bytes across changes: relative path plus contents of
+    # every file, scenes (s/) first, then pairs (p/), each walked in sorted order
+    synth_generate(SynthConfig(samples=6, seed=5), tmp_path / "s")
+    generate_pair_fixtures(SynthConfig(seed=10), tmp_path / "p", count=4)
+    digest = hashlib.sha256()
+    for sub in ("s", "p"):
+        for dirpath, dirs, files in os.walk(tmp_path / sub):
+            dirs.sort()
+            for name in sorted(files):
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, tmp_path).encode())
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+    assert digest.hexdigest() == "cd4475fb90eb1cd5c96f281b63de6797c68a3b015d5b3aa1a4bed6c06f40e7a1"
+
+
 def test_synth_manifest_counts_and_split(tmp_path):
     cfg = SynthConfig(samples=40, seed=6)
     records = synth_generate(cfg, tmp_path)
@@ -294,8 +331,7 @@ def test_pair_fixtures(tmp_path):
         assert len(pair) == 2
         a, b = pair
         assert a.affordance != b.affordance
-        ma = (read_pgm(a.mask_path) > 127)
-        mb = (read_pgm(b.mask_path) > 127)
+        ma, mb = a.load_mask() > 0, b.load_mask() > 0
         assert not (ma & mb).any()  # disjoint objects
         assert ma.any() and mb.any()
 

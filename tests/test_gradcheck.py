@@ -16,7 +16,7 @@ from cbce.train import load_config
 
 def test_every_op_passes_fd_check_across_seeds():
     # engine ops only here; the composed pipeline runs in the acceptance suite
-    reports = run_suite(seeds=range(20), include_pipeline=False)
+    reports = run_suite(seeds=range(20), ops=list(standard_op_suite()))
     failed = [r for r in reports if not r.passed]
     assert not failed, failed
     assert len(reports) == len(standard_op_suite())

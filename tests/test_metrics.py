@@ -1,12 +1,12 @@
 """Metric semantics against naive direct-summation oracles."""
 import csv
-import json
 
 import numpy as np
 import pytest
 
-from cbce.datakit import ManifestRecord, write_pgm
+from cbce.datakit import ManifestRecord, write_mask
 from cbce.metrics import (
+    METRIC_NAMES,
     MetricReport,
     e_measure,
     evaluate_dataset,
@@ -166,48 +166,46 @@ def test_threshold_metrics_invariant_to_monotone_transform():
     assert e_measure(pred, gt, 0.5) == e_measure(squashed, gt, 0.5**3)
 
 
-def _records(tmp_path, n=3, affs=("roll", "cut", "roll")):
+def _records(tmp_path, masks, affs=("roll", "cut", "roll")):
+    """One record per mask, with the mask written to the file `cbce eval` reads."""
     recs = []
-    for i in range(n):
-        recs.append(
-            ManifestRecord(f"r{i}", str(tmp_path / f"{i}.ppm"), str(tmp_path / f"{i}.pgm"),
-                           affs[i], ["a phrase"])
-        )
+    for i, gt in enumerate(masks):
+        rec = ManifestRecord(f"r{i}", str(tmp_path / f"{i}.ppm"), str(tmp_path / f"{i}.pgm"),
+                             affs[i], ["a phrase"])
+        write_mask(rec.mask_path, gt)
+        recs.append(rec)
     return recs
 
 
 def test_evaluate_dataset_perfect_prediction(tmp_path):
     rng = np.random.default_rng(5)
-    recs = _records(tmp_path, 1, ("roll",))
     gt = (rng.random((8, 8)) > 0.5).astype(float)
-    report = evaluate_dataset({"r0": gt}, recs, masks={"r0": gt})
+    recs = _records(tmp_path, [gt], ("roll",))
+    report = evaluate_dataset(lambda r: gt, recs)
     row = report.per_image[0]
     assert row.iou == 1.0 and row.fbeta == 1.0 and row.ephi == 1.0
     assert abs(row.cc - 1.0) < 1e-12 and row.mae == 0.0
 
 
 def test_evaluate_dataset_reads_omitted_masks(tmp_path):
+    # each mask is read from its record's file, and predict runs once per record in order
     rng = np.random.default_rng(7)
-    recs = _records(tmp_path, 2, ("roll", "cut"))
-    masks, preds = {}, {}
-    for r in recs:
-        gt = (rng.random((8, 8)) > 0.5).astype(float)
-        write_pgm(r.mask_path, (gt * 255).astype(np.uint8))
-        masks[r.id], preds[r.id] = gt, rng.random((8, 8))
-    read = evaluate_dataset(preds, recs)
-    given = evaluate_dataset(preds, recs, masks=masks)
-    assert read.to_dict() == given.to_dict()
+    masks = [(rng.random((8, 8)) > 0.5).astype(float) for _ in range(2)]
+    recs = _records(tmp_path, masks, ("roll", "cut"))
+    preds = {r.id: rng.random((8, 8)) for r in recs}
+    calls = []
+    report = evaluate_dataset(lambda r: calls.append(r.id) or preds[r.id], recs)
+    assert calls == ["r0", "r1"]
+    for row, rec, gt in zip(report.per_image, recs, masks):
+        assert {m: getattr(row, m) for m in METRIC_NAMES} == score_pair(preds[rec.id], gt)
 
 
 def test_evaluate_dataset_per_category_means(tmp_path):
     rng = np.random.default_rng(6)
-    recs = _records(tmp_path)
-    masks, preds = {}, {}
-    for r in recs:
-        gt = (rng.random((8, 8)) > 0.5).astype(float)
-        masks[r.id] = gt
-        preds[r.id] = np.clip(gt * 0.8 + rng.random((8, 8)) * 0.2, 0, 1)
-    report = evaluate_dataset(preds, recs, masks=masks)
+    masks = [(rng.random((8, 8)) > 0.5).astype(float) for _ in range(3)]
+    preds = [np.clip(gt * 0.8 + rng.random((8, 8)) * 0.2, 0, 1) for gt in masks]
+    recs = _records(tmp_path, masks)
+    report = evaluate_dataset(lambda r: preds[recs.index(r)], recs)
     assert set(report.per_category) == {"roll", "cut"}
     roll_rows = [r for r in report.per_image if r.affordance == "roll"]
     hand_mean = np.mean([r.iou for r in roll_rows])
@@ -218,20 +216,18 @@ def test_evaluate_dataset_per_category_means(tmp_path):
 
 def test_evaluate_dataset_errors(tmp_path):
     with pytest.raises(ValueError, match="empty manifest"):
-        evaluate_dataset({}, [])
-    recs = _records(tmp_path, 1, ("roll",))
-    with pytest.raises(ValueError, match="missing prediction"):
-        evaluate_dataset({}, recs, masks={"r0": np.ones((2, 2))})
+        evaluate_dataset(lambda r: None, [])
+    recs = _records(tmp_path, [np.ones((2, 2))], ("roll",))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        evaluate_dataset(lambda r: np.ones((3, 3)), recs)
 
 
 def test_report_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    recs = _records(tmp_path)
-    masks, preds = {}, {}
-    for r in recs:
-        gt = (rng.random((8, 8)) > 0.5).astype(float)
-        masks[r.id], preds[r.id] = gt, rng.random((8, 8))
-    report = evaluate_dataset(preds, recs, masks=masks)
+    masks = [(rng.random((8, 8)) > 0.5).astype(float) for _ in range(3)]
+    recs = _records(tmp_path, masks)
+    preds = {r.id: rng.random((8, 8)) for r in recs}
+    report = evaluate_dataset(lambda r: preds[r.id], recs)
     report.write_json(tmp_path / "report.json")
     report.write_csv(tmp_path / "report.csv")
     loaded = MetricReport.from_json(tmp_path / "report.json")
@@ -242,34 +238,27 @@ def test_report_round_trip(tmp_path):
 
 def test_evaluate_dataset_survives_constant_maps(tmp_path):
     rng = np.random.default_rng(8)
-    recs = _records(tmp_path)
-    masks, preds = {}, {}
-    for r in recs:
-        masks[r.id] = (rng.random((8, 8)) > 0.5).astype(float)
-        preds[r.id] = rng.random((8, 8))
-    masks["r0"] = np.zeros((8, 8))  # empty ground truth
+    masks = [(rng.random((8, 8)) > 0.5).astype(float) for _ in range(3)]
+    preds = [rng.random((8, 8)) for _ in range(3)]
+    masks[0] = np.zeros((8, 8))  # empty ground truth
     # float32 sigmoid of logits >= 20 is exactly 1.0: a saturated map
-    preds["r1"] = 1.0 / (1.0 + np.exp(-np.full((8, 8), 20.0, dtype=np.float32)))
-    assert preds["r1"].min() == preds["r1"].max() == 1.0
-    report = evaluate_dataset(preds, recs, masks=masks)
+    preds[1] = 1.0 / (1.0 + np.exp(-np.full((8, 8), 20.0, dtype=np.float32)))
+    assert preds[1].min() == preds[1].max() == 1.0
+    recs = _records(tmp_path, masks)
+    report = evaluate_dataset(lambda r: preds[recs.index(r)], recs)
 
     assert [r.cc for r in report.per_image][:2] == [None, None]
-    cc2 = pearson_cc(preds["r2"], masks["r2"])
+    cc2 = pearson_cc(preds[2], masks[2])
     assert report.per_image[2].cc == cc2
     assert report.overall["cc"] == cc2 and report.cc_images["overall"] == 1
     assert report.per_category["cut"]["cc"] is None
     assert report.per_category["roll"]["cc"] == cc2
     assert report.cc_images["per_category"] == {"cut": 0, "roll": 1}
     assert report.overall["mae"] == np.mean([r.mae for r in report.per_image])
-    assert score_pair(preds["r1"], masks["r1"])["cc"] is None
+    assert score_pair(preds[1], masks[1])["cc"] is None
 
     report.write_json(tmp_path / "report.json")
     assert MetricReport.from_json(tmp_path / "report.json").to_dict() == report.to_dict()
-    # a report written before cc_images existed still loads; the counts are rebuilt
-    d = report.to_dict()
-    del d["cc_images"]
-    (tmp_path / "old.json").write_text(json.dumps(d))
-    assert MetricReport.from_json(tmp_path / "old.json").cc_images == report.cc_images
     report.write_csv(tmp_path / "report.csv")
     with open(tmp_path / "report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

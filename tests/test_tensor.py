@@ -250,6 +250,27 @@ def test_bilinear_upsample_constant_and_identity():
     np.testing.assert_array_equal(same.data, x)
 
 
+@pytest.mark.parametrize("resize", ["up", "down", "equal"])
+@settings(max_examples=25, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), dh=st.integers(1, 9), dw=st.integers(1, 9),
+       c=st.integers(1, 3), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bilinear_upsample_keeps_shape_and_dtype_and_is_adjoint(resize, h, w, dh, dw, c, dtype,
+                                                                seed):
+    small, big = (h, w), (h + dh, w + dw)
+    size_in, size_out = {"up": (small, big), "down": (big, small), "equal": (small, small)}[resize]
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(size_in + (c,)).astype(dtype), requires_grad=True)
+    out = convops.bilinear_upsample(x, *size_out)
+    assert out.shape == size_out + (c,) and out.dtype == dtype
+    g = rng.standard_normal(out.shape).astype(dtype)
+    backward(tsum(mul(out, Tensor(g))))
+    assert x.grad.dtype == dtype
+    if dtype == np.float64:  # <up(x), g> == <x, up^T g>
+        np.testing.assert_allclose(np.vdot(out.data, g), np.vdot(x.data, x.grad),
+                                   rtol=1e-12, atol=1e-12)
+
+
 def test_global_avg_pool_shape_and_value():
     x = np.random.default_rng(10).standard_normal((4, 6, 3))
     out = convops.global_avg_pool(Tensor(x))
@@ -343,7 +364,7 @@ def cyclic_garbage(fn) -> int:
 
 
 def test_no_op_creates_a_reference_cycle():
-    suite = {**standard_op_suite(), "vlm_lvm_aspp_bce": micro_pipeline_entry()}
+    suite = {**standard_op_suite(), "vlm_lvm_aspp_bce": micro_pipeline_entry}
 
     def forward_backward(build):
         fn, inputs = build(np.random.default_rng(0))
@@ -434,12 +455,14 @@ def test_forward_bit_identical_across_runs():
 
 def test_avg_pool2d_odd_input_replicates_edge():
     x = np.arange(5 * 5 * 1, dtype=np.float64).reshape(5, 5, 1)
-    out = convops.avg_pool2d(Tensor(x), window=2)
+    out = convops.avg_pool2d(Tensor(x))
     assert out.shape == (3, 3, 1)
     np.testing.assert_allclose(out.data[0, 0, 0], x[:2, :2, 0].mean())
     # last output cell averages the replicated corner pixel's window
     np.testing.assert_allclose(out.data[2, 2, 0], (x[4, 4, 0] * 2 + x[4, 4, 0] * 2) / 4)
     np.testing.assert_allclose(out.data[2, 0, 0], (x[4, 0, 0] + x[4, 1, 0]) / 2)
+    with pytest.raises(ShapeError, match="2x2"):
+        convops.avg_pool2d(Tensor(x[:1]))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -459,16 +482,16 @@ def test_pad_edge_matches_numpy_edge_padding(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_avg_pool2d_odd_sizes_match_edge_padded_mean(dtype):
-    rng = np.random.default_rng(6)
-    for h, w, window in [(5, 5, 2), (3, 4, 2), (4, 7, 2), (7, 7, 3), (9, 5, 4), (1, 1, 1)]:
-        x = rng.standard_normal((h, w, 3)).astype(dtype)
-        xp = np.pad(x, ((0, -h % window), (0, -w % window), (0, 0)), mode="edge")
-        want = xp.reshape(xp.shape[0] // window, window, xp.shape[1] // window, window,
-                          3).mean(axis=(1, 3))
-        got = convops.avg_pool2d(Tensor(x), window=window).data
-        assert got.dtype == dtype
-        np.testing.assert_array_equal(got, want)
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(2, 15), w=st.integers(2, 15), c=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_avg_pool2d_odd_sizes_match_edge_padded_mean(dtype, h, w, c, seed):
+    x = np.random.default_rng(seed).standard_normal((h, w, c)).astype(dtype)
+    xp = np.pad(x, ((0, h % 2), (0, w % 2), (0, 0)), mode="edge")
+    want = xp.reshape(xp.shape[0] // 2, 2, xp.shape[1] // 2, 2, c).mean(axis=(1, 3))
+    got = convops.avg_pool2d(Tensor(x)).data
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_record_op_custom_extension():

@@ -2,6 +2,7 @@
 import gc
 import json
 import os
+import struct
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from cbce.datakit import (
     load_manifest,
     save_manifest,
     synth_generate,
-    write_pgm,
+    write_mask,
 )
 from cbce.model import CbceNet, ModelConfig
 from cbce.tensor import NumericError
@@ -203,7 +204,7 @@ def test_cli_eval_survives_constant_maps(tmp_path, tiny_data, tiny_ckpt, capsys)
     # one record with an empty ground-truth mask, one with its own mask
     recs = load_manifest(os.path.join(tiny_data, "test.jsonl"))[:2]
     empty = tmp_path / "empty.pgm"
-    write_pgm(str(empty), np.zeros(recs[0].load_mask().shape, dtype=np.uint8))
+    write_mask(empty, np.zeros(recs[0].load_mask().shape))
     recs[0].mask_path = str(empty)
     manifest = tmp_path / "edge.jsonl"
     save_manifest(recs, manifest)
@@ -307,8 +308,7 @@ def test_evaluate_ground_truth_is_perfect(tmp_path, tiny_data):
     from cbce.metrics import evaluate_dataset
 
     records = load_manifest(os.path.join(tiny_data, "test.jsonl"))
-    masks = {r.id: r.load_mask() for r in records}
-    report = evaluate_dataset(masks, records, masks=masks)
+    report = evaluate_dataset(lambda r: r.load_mask(), records)
     assert report.overall["iou"] == 1.0
     assert report.overall["mae"] == 0.0
 
@@ -327,15 +327,14 @@ def test_evaluate_checkpoint_scores_each_record_as_it_is_predicted(tmp_path, tin
     from cbce import seghead
     from cbce.metrics import evaluate_dataset
 
-    # the path it replaced: every probability map and every mask held, then scored
+    # the path it replaced: every probability map held, then scored
     model, vocab = model_from_checkpoint(load_checkpoint(tiny_ckpt))
     records = load_manifest(os.path.join(tiny_data, "test.jsonl"))
     n = model.cfg.n_phrases
     preds = {r.id: model.forward(r.load_image(), vocab.encode_phrases(r.phrases[:n])).prob_map
              for r in records}
-    masks = {r.id: r.load_mask() for r in records}
-    evaluate_dataset(preds, records, masks=masks).write_json(tmp_path / "held.json")
-    del preds, masks
+    evaluate_dataset(lambda r: preds[r.id], records).write_json(tmp_path / "held.json")
+    del preds
 
     maps, sigmoid = [], seghead._sigmoid  # MaskPrediction.prob_map's only producer
 
@@ -472,10 +471,15 @@ def test_shipped_configs_load(path):
 
 @pytest.mark.parametrize("section,key", [("model", "c_vv"), ("train", "epoch"),
                                          ("train", "seed"), ("synth", "sizes"),
-                                         ("top-level", "modle")])
+                                         ("top-level", "modle"),
+                                         ("model", 5), ("synth", [3]), ("top-level", [1, 2])])
 def test_cli_unknown_config_key_is_a_validation_error(tmp_path, capsys, section, key):
     path = tmp_path / "cfg.json"
-    if section == "top-level":
+    if not isinstance(key, str):
+        # a section that is not an object used to escape as a TypeError
+        raw = key if section == "top-level" else {section: key}
+        key = "must be a JSON object"
+    elif section == "top-level":
         # misspelled sections used to load silently with the default settings
         raw = {key: {"c_l": 8}, "trian": {"epochs": 1}}
     else:
@@ -555,6 +559,25 @@ def test_tensor_in_unknown_group_is_a_validation_error(tmp_path, tiny_data, tiny
     assert main(["eval", "--ckpt", str(path), "--data", tiny_data]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "adam_w" in err
+
+
+def test_tensor_with_unknown_dtype_is_a_validation_error(tmp_path, tiny_data, tiny_ckpt, capsys):
+    # such an entry used to escape `cbce eval` as a KeyError
+    with open(tiny_ckpt, "rb") as fh:
+        blob = fh.read()
+    (hlen,) = struct.unpack("<Q", blob[12:20])  # after the magic and the version
+    header = json.loads(blob[20 : 20 + hlen])
+    entry = header["tensors"][3]
+    entry["dtype"] = "float16"
+    new = json.dumps(header).encode()
+    path = tmp_path / "odd.cbce"
+    path.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new + blob[20 + hlen :])
+    with pytest.raises(ValueError, match=f"tensor '{entry['name']}' has unsupported dtype "
+                                         "'float16'"):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path), "--data", tiny_data]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "float16" in err
 
 
 @pytest.mark.parametrize("dtype", ["float16", "int32", "bfloat"])
