@@ -9,7 +9,7 @@ so a checkpoint alone can rebuild the model for evaluation.
 A checkpoint is written to a temporary file beside its destination and
 moved into place with ``os.replace``, so a reader sees either the
 previous file or the complete new one. Loading rejects a file shorter
-than its header or its tensor manifest declares.
+or longer than its header and its tensor manifest declare.
 """
 from __future__ import annotations
 
@@ -106,6 +106,9 @@ def load_checkpoint(path) -> Checkpoint:
     if len(payload) < need:
         raise ValueError(f"checkpoint {path} is truncated: tensor payload needs {need} "
                          f"bytes, found {len(payload)}")
+    if len(payload) > need:
+        raise ValueError(f"checkpoint {path} has {len(payload) - need} bytes after its last "
+                         f"tensor, which ends at payload byte {need}")
     groups = {group: {} for group, _ in GROUPS}
     for ent in header["tensors"]:
         if ent["group"] not in groups:

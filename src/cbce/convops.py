@@ -9,6 +9,8 @@ constant.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .tensor import ShapeError, Tensor, record_op
@@ -176,14 +178,35 @@ def avg_pool2d(x: Tensor) -> Tensor:
     return record_op("avg_pool2d", out, (x,), bwd)
 
 
+def _scatter_rounds(idx: np.ndarray) -> tuple:
+    """Split a scatter-add over ``idx`` into rounds of distinct targets.
+
+    Round k is (targets, positions) for the k-th occurrence of each index,
+    so ``dst[targets] += src[positions]`` over the rounds in order adds
+    every element in the same order as ``np.add.at(dst, idx, src)``.
+    """
+    rounds = []
+    left = np.arange(idx.size)  # positions not yet in a round, in order
+    while left.size:
+        _, first = np.unique(idx[left], return_index=True)  # earliest of each index
+        rounds.append((idx[left[first]], left[first]))
+        left = np.delete(left, first)
+    return tuple(rounds)
+
+
+@lru_cache(maxsize=64)
 def _resize_axis(n_in: int, n_out: int):
-    """Source indices/weights for align-corners=false bilinear sampling."""
+    """Source indices/weights for align-corners=false bilinear sampling,
+    and the scatter rounds of both index arrays for the backward."""
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     i0f = np.floor(src)
     frac = src - i0f
     i0 = np.clip(i0f, 0, n_in - 1).astype(np.int64)
     i1 = np.clip(i0f + 1, 0, n_in - 1).astype(np.int64)
-    return i0, i1, frac
+    rounds = (_scatter_rounds(i0), _scatter_rounds(i1))
+    for arr in (i0, i1, frac, *(a for r in rounds for pair in r for a in pair)):
+        arr.flags.writeable = False  # shared by every call of this size
+    return i0, i1, frac, rounds
 
 
 def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -198,8 +221,8 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bad target size {(out_h, out_w)}")
     h, w, c = x.shape
-    r0, r1, fr = _resize_axis(h, out_h)
-    c0, c1, fc = _resize_axis(w, out_w)
+    r0, r1, fr, row_rounds = _resize_axis(h, out_h)
+    c0, c1, fc, col_rounds = _resize_axis(w, out_w)
     xd = x.data
     fr_col = fr.astype(xd.dtype)[:, None, None]  # weights in the map's dtype, so
     fc_col = fc.astype(xd.dtype)[None, :, None]  # a float32 map stays float32
@@ -208,14 +231,17 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     out = rows[:, c0] * (1.0 - fc_col) + rows[:, c1] * fc_col
 
     def bwd(g):
+        # scatter over columns first, then rows. Clamped edges and
+        # upsampling repeat an index, so each scatter runs in rounds of
+        # distinct targets, which sum every element in np.add.at's order
         grows = np.zeros((out_h, w, c), dtype=g.dtype)
-        # scatter over columns first, then rows; add.at handles clamped dupes
-        gt = np.swapaxes(grows, 0, 1)  # view (W, out_h, C)
-        np.add.at(gt, c0, np.swapaxes(g * (1.0 - fc_col), 0, 1))
-        np.add.at(gt, c1, np.swapaxes(g * fc_col, 0, 1))
+        for part, rounds in zip((g * (1.0 - fc_col), g * fc_col), col_rounds):
+            for dst, pos in rounds:
+                grows[:, dst] += part[:, pos]
         dx = np.zeros((h, w, c), dtype=g.dtype)
-        np.add.at(dx, r0, grows * (1.0 - fr_col))
-        np.add.at(dx, r1, grows * fr_col)
+        for part, rounds in zip((grows * (1.0 - fr_col), grows * fr_col), row_rounds):
+            for dst, pos in rounds:
+                dx[dst] += part[pos]
         return (dx,)
 
     return record_op("bilinear_upsample", out, (x,), bwd)

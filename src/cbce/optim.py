@@ -7,9 +7,10 @@ to a reshaped view of it; the first and second moments are flat buffers
 of the same layout, and ``state.m`` / ``state.v`` are name-keyed dicts
 of views into them, so checkpoints see one array per parameter. One
 ``adam_step`` gathers the gradients with a single ``np.concatenate`` and
-updates the whole buffer with a dozen in-place ufunc calls, which apply
-the same operations to the same operands as a per-tensor loop and so
-give bit-identical results.
+walks the buffer in blocks of ``ADAM_BLOCK`` elements, running the same
+sixteen in-place ufunc calls on each block with one block of scratch.
+Every element sees the same operations on the same operands as in a
+per-tensor loop, so the results are bit-identical.
 
 Nothing may rebind a trained parameter's ``.data`` once its state is
 built: a rebound tensor no longer views the buffer and its updates would
@@ -22,6 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# elements per block of the update: its operands stay in cache between the
+# ufunc calls, where whole-buffer passes stream every operand from memory
+ADAM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -82,24 +87,27 @@ def adam_step(params: dict, state: AdamState, lr: float, weight_decay: float = 0
         grads.append(g.reshape(-1))
     state.t += 1
     t = state.t
-    P, M, V = state.flat, state.flat_m, state.flat_v
     G = np.concatenate(grads)
-    V *= beta2
-    S = G * G
-    S *= 1 - beta2
-    V += S
-    M *= beta1
-    G *= 1 - beta1
-    M += G
-    np.divide(M, 1 - beta1**t, out=G)  # m_hat
-    np.divide(V, 1 - beta2**t, out=S)  # v_hat
-    np.sqrt(S, out=S)
-    S += eps
-    G /= S
-    np.multiply(P, weight_decay, out=S)
-    G += S
-    G *= lr
-    P -= G
+    S = np.empty(min(ADAM_BLOCK, G.size), dtype=G.dtype)
+    for lo in range(0, G.size, ADAM_BLOCK):
+        p, m, v, g = (a[lo : lo + ADAM_BLOCK] for a in (state.flat, state.flat_m, state.flat_v, G))
+        s = S[: g.size]
+        v *= beta2
+        np.multiply(g, g, out=s)
+        s *= 1 - beta2
+        v += s
+        m *= beta1
+        g *= 1 - beta1
+        m += g
+        np.divide(m, 1 - beta1**t, out=g)  # m_hat
+        np.divide(v, 1 - beta2**t, out=s)  # v_hat
+        np.sqrt(s, out=s)
+        s += eps
+        g /= s
+        np.multiply(p, weight_decay, out=s)
+        g += s
+        g *= lr
+        p -= g
 
 
 def poly_lr(step: int, max_steps: int, base_lr: float, power: float = 0.9) -> float:

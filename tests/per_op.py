@@ -5,13 +5,15 @@
 (outputs, every gradient and a few training steps) to the chains of
 one-node ops below. The small ops are recorded through
 ``tensor.record_op`` like any engine op, but the network no longer
-calls them, so they live here and not in the engine. Tests also use
-``mul`` and ``tsum`` to reduce an output to a scalar loss.
+calls them, so they live here and not in the engine. So does the
+``np.add.at`` scatter that ``bilinear_upsample``'s backward replaced.
+Tests also use ``mul`` and ``tsum`` to reduce an output to a scalar loss.
 """
 import numpy as np
 
 from cbce import tensor as T
 from cbce.cim import L2_EPS
+from cbce.convops import _resize_axis
 from cbce.tensor import ShapeError, Tensor, _sigmoid, _unbroadcast
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,24 @@ def elementwise_max(feats):
     winner = stacked.argmax(axis=0)
     return T.record_op("elementwise_max", stacked.max(axis=0), tuple(feats),
                        lambda g: tuple(g * (winner == i) for i in range(len(feats))))
+
+
+def bilinear_upsample_grad(g, h, w):
+    """``bilinear_upsample``'s input gradient for an (h, w, C) map, scattered
+    by ``np.add.at``: the rule the network's round-by-round scatter replaced."""
+    out_h, out_w, c = g.shape
+    r0, r1, fr = _resize_axis(h, out_h)[:3]
+    c0, c1, fc = _resize_axis(w, out_w)[:3]
+    fr_col = fr.astype(g.dtype)[:, None, None]
+    fc_col = fc.astype(g.dtype)[None, :, None]
+    grows = np.zeros((out_h, w, c), dtype=g.dtype)
+    gt = np.swapaxes(grows, 0, 1)  # view (W, out_h, C)
+    np.add.at(gt, c0, np.swapaxes(g * (1.0 - fc_col), 0, 1))
+    np.add.at(gt, c1, np.swapaxes(g * fc_col, 0, 1))
+    dx = np.zeros((h, w, c), dtype=g.dtype)
+    np.add.at(dx, r0, grows * (1.0 - fr_col))
+    np.add.at(dx, r1, grows * fr_col)
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import cbce.train as train_mod
 from cbce.checkpoint import load_checkpoint
 from cbce.datakit import SynthConfig, synth_generate
 from cbce.model import ModelConfig
-from cbce.optim import AdamState, adam_step, poly_lr
+from cbce.optim import ADAM_BLOCK, AdamState, adam_step, poly_lr
 from cbce.tensor import Tensor, backward, concat, record_op
 from cbce.train import TrainConfig, train
 
@@ -130,6 +130,22 @@ def _params_of(shapes, dtype, seed):
     seed=st.integers(0, 2**16),
 )
 def test_flat_adam_equals_per_tensor_loop(shapes, dtype, lr, weight_decay, steps, seed):
+    _assert_flat_adam_equals_per_tensor_loop(shapes, dtype, lr, weight_decay, steps, seed)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_flat_adam_equals_per_tensor_loop_across_blocks(dtype):
+    # tensors sized from the block so that they straddle block edges, the
+    # buffer spans more than three blocks and the last block is partial
+    b = ADAM_BLOCK
+    shapes = [(b // 2 + 3,), (b, 1), (3, b // 3 + 5), (7,), (b + 11,), (b // 4, 2)]
+    sizes = np.cumsum([np.prod(s) for s in shapes])
+    assert sizes[-1] > 3 * b and sizes[-1] % b
+    assert any(lo // b != (hi - 1) // b for lo, hi in zip(np.r_[0, sizes[:-1]], sizes))
+    _assert_flat_adam_equals_per_tensor_loop(shapes, dtype, 3e-3, 5e-4, 4, 11)
+
+
+def _assert_flat_adam_equals_per_tensor_loop(shapes, dtype, lr, weight_decay, steps, seed):
     flat, loop = _params_of(shapes, dtype, seed), _params_of(shapes, dtype, seed)
     flat_state, loop_state = AdamState.for_params(flat), AdamState.for_params(loop)
     rng = np.random.default_rng(seed + 1)

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from per_op import l2_normalize, matmul, mul, reference_linear, sigmoid, softmax, tanh, tsum
+from per_op import (
+    bilinear_upsample_grad,
+    l2_normalize,
+    matmul,
+    mul,
+    reference_linear,
+    sigmoid,
+    softmax,
+    tanh,
+    tsum,
+)
 
 from cbce import cim, convops, encoders, seghead
 from cbce import tensor as T
@@ -250,15 +260,16 @@ def test_bilinear_upsample_constant_and_identity():
     np.testing.assert_array_equal(same.data, x)
 
 
-@pytest.mark.parametrize("resize", ["up", "down", "equal"])
+@pytest.mark.parametrize("resize", ["up", "down", "equal", "from_1x1"])
 @settings(max_examples=25, deadline=None)
-@given(h=st.integers(1, 9), w=st.integers(1, 9), dh=st.integers(1, 9), dw=st.integers(1, 9),
+@given(h=st.integers(1, 9), w=st.integers(1, 9), dh=st.integers(1, 30), dw=st.integers(1, 30),
        c=st.integers(1, 3), dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2**32 - 1))
 def test_bilinear_upsample_keeps_shape_and_dtype_and_is_adjoint(resize, h, w, dh, dw, c, dtype,
                                                                 seed):
     small, big = (h, w), (h + dh, w + dw)
-    size_in, size_out = {"up": (small, big), "down": (big, small), "equal": (small, small)}[resize]
+    size_in, size_out = {"up": (small, big), "down": (big, small), "equal": (small, small),
+                         "from_1x1": ((1, 1), big)}[resize]
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal(size_in + (c,)).astype(dtype), requires_grad=True)
     out = convops.bilinear_upsample(x, *size_out)
@@ -266,9 +277,27 @@ def test_bilinear_upsample_keeps_shape_and_dtype_and_is_adjoint(resize, h, w, dh
     g = rng.standard_normal(out.shape).astype(dtype)
     backward(tsum(mul(out, Tensor(g))))
     assert x.grad.dtype == dtype
+    # the scatter in rounds sums in np.add.at's order, so bit for bit
+    np.testing.assert_array_equal(x.grad, bilinear_upsample_grad(g, *size_in))
     if dtype == np.float64:  # <up(x), g> == <x, up^T g>
         np.testing.assert_allclose(np.vdot(out.data, g), np.vdot(x.data, x.grad),
                                    rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size_in, size_out, c", [
+    ((18, 18), (20, 20), 128), ((9, 9), (20, 20), 128), ((5, 5), (20, 20), 128),
+    ((1, 1), (20, 20), 128), ((20, 20), (144, 144), 1),
+], ids=["18-20", "9-20", "5-20", "1-20", "20-144"])
+def test_bilinear_upsample_grad_equals_add_at_scatter_at_mid_shapes(size_in, size_out, c, dtype):
+    # the five resizes of a step at mid scale: three visual levels and the
+    # pooled ASPP branch to the 20x20 grid, and the mask logits to the crop
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal(size_in + (c,)).astype(dtype), requires_grad=True)
+    g = rng.standard_normal(size_out + (c,)).astype(dtype)
+    backward(tsum(mul(convops.bilinear_upsample(x, *size_out), Tensor(g))))
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, bilinear_upsample_grad(g, *size_in))
 
 
 def test_global_avg_pool_shape_and_value():

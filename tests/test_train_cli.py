@@ -118,6 +118,21 @@ def test_truncated_checkpoint_rejected(tmp_path, tiny_ckpt):
         assert str(path) in str(ei.value)
 
 
+@pytest.mark.parametrize("extra", [1, 4096])
+def test_trailing_bytes_rejected(tmp_path, tiny_data, tiny_ckpt, capsys, extra):
+    # bytes past the last tensor's offset + nbytes used to load silently
+    with open(tiny_ckpt, "rb") as fh:
+        blob = fh.read()
+    path = tmp_path / "long.cbce"
+    path.write_bytes(blob + b"\0" * extra)
+    with pytest.raises(ValueError, match=f"has {extra} bytes after its last tensor") as ei:
+        load_checkpoint(path)
+    assert str(path) in str(ei.value)
+    assert main(["eval", "--ckpt", str(path), "--data", tiny_data]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and f"{extra} bytes" in err
+
+
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "model.cbce"
     first = Checkpoint(config={"vocab": []}, params={"w": np.zeros(64)})
