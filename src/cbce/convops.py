@@ -235,11 +235,13 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
         # upsampling repeat an index, so each scatter runs in rounds of
         # distinct targets, which sum every element in np.add.at's order
         grows = np.zeros((out_h, w, c), dtype=g.dtype)
-        for part, rounds in zip((g * (1.0 - fc_col), g * fc_col), col_rounds):
+        for weight, rounds in zip((1.0 - fc_col, fc_col), col_rounds):
+            part = g * weight
             for dst, pos in rounds:
                 grows[:, dst] += part[:, pos]
         dx = np.zeros((h, w, c), dtype=g.dtype)
-        for part, rounds in zip((grows * (1.0 - fr_col), grows * fr_col), row_rounds):
+        for weight, rounds in zip((1.0 - fr_col, fr_col), row_rounds):
+            part = grows * weight
             for dst, pos in rounds:
                 dx[dst] += part[pos]
         return (dx,)
