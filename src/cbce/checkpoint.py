@@ -101,25 +101,29 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
         header = json.loads(_read_exact(fh, hlen, path, "header").decode("utf-8"))
-        payload = fh.read()
-    need = max((e["offset"] + e["nbytes"] for e in header["tensors"]), default=0)
-    if len(payload) < need:
-        raise ValueError(f"checkpoint {path} is truncated: tensor payload needs {need} "
-                         f"bytes, found {len(payload)}")
-    if len(payload) > need:
-        raise ValueError(f"checkpoint {path} has {len(payload) - need} bytes after its last "
-                         f"tensor, which ends at payload byte {need}")
-    groups = {group: {} for group, _ in GROUPS}
-    for ent in header["tensors"]:
-        if ent["group"] not in groups:
-            raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} is in unknown "
-                             f"group {ent['group']!r}")
-        if ent["dtype"] not in _DTYPE_TAGS:
-            raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} has unsupported "
-                             f"dtype {ent['dtype']!r}")
-        raw = payload[ent["offset"] : ent["offset"] + ent["nbytes"]]
-        arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[ent["dtype"]]).astype(ent["dtype"])
-        groups[ent["group"]][ent["name"]] = arr.reshape(ent["shape"])
+        # each tensor is read on its own, so no copy of the whole payload
+        # is alive next to the arrays built from it
+        start = fh.tell()
+        size = os.fstat(fh.fileno()).st_size - start
+        need = max((e["offset"] + e["nbytes"] for e in header["tensors"]), default=0)
+        if size < need:
+            raise ValueError(f"checkpoint {path} is truncated: tensor payload needs {need} "
+                             f"bytes, found {size}")
+        if size > need:
+            raise ValueError(f"checkpoint {path} has {size - need} bytes after its last "
+                             f"tensor, which ends at payload byte {need}")
+        groups = {group: {} for group, _ in GROUPS}
+        for ent in header["tensors"]:
+            if ent["group"] not in groups:
+                raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} is in unknown "
+                                 f"group {ent['group']!r}")
+            if ent["dtype"] not in _DTYPE_TAGS:
+                raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} has unsupported "
+                                 f"dtype {ent['dtype']!r}")
+            fh.seek(start + ent["offset"])
+            raw = fh.read(ent["nbytes"])
+            arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[ent["dtype"]]).astype(ent["dtype"])
+            groups[ent["group"]][ent["name"]] = arr.reshape(ent["shape"])
     return Checkpoint(
         config=header["config"],
         **{attr: groups[group] for group, attr in GROUPS},

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -131,6 +132,26 @@ def test_trailing_bytes_rejected(tmp_path, tiny_data, tiny_ckpt, capsys, extra):
     assert main(["eval", "--ckpt", str(path), "--data", tiny_data]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and f"{extra} bytes" in err
+
+
+def test_load_holds_no_copy_of_the_whole_payload(tmp_path):
+    # 12 tensors of 1 MB: loading needs the arrays plus about one tensor's
+    # bytes at a time, not a second copy of the 12-MB payload
+    rng = np.random.default_rng(0)
+    arrays = {f"w{i}": rng.standard_normal(2**17) for i in range(4)}
+    ckpt = Checkpoint(config={}, params=arrays, adam_m=dict(arrays), adam_v=dict(arrays))
+    path = tmp_path / "big.cbce"
+    save_checkpoint(path, ckpt)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    total = 3 * sum(a.nbytes for a in arrays.values())
+    assert peak < total * 1.3
+    for name, arr in arrays.items():
+        np.testing.assert_array_equal(loaded.adam_v[name], arr)
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
