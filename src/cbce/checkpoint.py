@@ -39,6 +39,8 @@ class Checkpoint:
 
 # (manifest group, Checkpoint attribute), in payload order
 GROUPS = (("param", "params"), ("adam_m", "adam_m"), ("adam_v", "adam_v"))
+_HEADER_KEYS = ("config", "step", "adam_t", "rng_state", "tensors")
+_ENTRY_KEYS = ("group", "name", "shape", "dtype", "offset", "nbytes")
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -91,6 +93,16 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return data
 
 
+def _object_with_keys(obj, keys, path, what: str) -> None:
+    """Refuse obj, naming the path, unless it is a JSON object holding ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"checkpoint {path}: {what} is a JSON {type(obj).__name__}, "
+                         f"not an object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"checkpoint {path}: {what} has no {', '.join(map(repr, missing))}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -101,6 +113,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
         header = json.loads(_read_exact(fh, hlen, path, "header").decode("utf-8"))
+        _object_with_keys(header, _HEADER_KEYS, path, "header")
+        if not isinstance(header["tensors"], list):
+            raise ValueError(f"checkpoint {path}: header 'tensors' is not a list")
+        for ent in header["tensors"]:
+            _object_with_keys(ent, _ENTRY_KEYS, path, "tensor entry")
         # each tensor is read on its own, so no copy of the whole payload
         # is alive next to the arrays built from it
         start = fh.tell()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import init, tensor as T
 from .encoders import TAPS
-from .tensor import Tensor, _check_finite, _sigmoid, _unbroadcast
+from .tensor import Tensor, _check_finite, _sigmoid
 
 L2_EPS = 1e-12
 
@@ -29,7 +29,7 @@ class CimState:
     fused: dict  # level -> Tensor (H, W, C_v)
 
 
-class Vlm:
+class Vlm(init.Module):
     """Vision-guided language update.
 
     Scores every spatial position against the projected language vector
@@ -39,12 +39,12 @@ class Vlm:
     """
 
     def __init__(self, c_l: int, c_v: int, rng: np.random.Generator):
-        self.w_theta = init.glorot(rng, (c_l, c_v), c_l, c_v)
-        self.b_theta = init.zeros((c_v,))
-        self.w_phi = init.glorot(rng, (c_v, c_v), c_v, c_v)
-        self.b_phi = init.zeros((c_v,))
-        self.w_out = init.glorot(rng, (c_l + c_v, c_l), c_l + c_v, c_l)
-        self.b_out = init.zeros((c_l,))
+        self.w_theta = self.add("w_theta", init.glorot(rng, (c_l, c_v), c_l, c_v))
+        self.b_theta = self.add("b_theta", init.zeros((c_v,)))
+        self.w_phi = self.add("w_phi", init.glorot(rng, (c_v, c_v), c_v, c_v))
+        self.b_phi = self.add("b_phi", init.zeros((c_v,)))
+        self.w_out = self.add("w_out", init.glorot(rng, (c_l + c_v, c_l), c_l + c_v, c_l))
+        self.b_out = self.add("b_out", init.zeros((c_l,)))
 
     def forward(self, lang: Tensor, fused: Tensor, return_attention: bool = False):
         """The new (C_l,) language vector, as one ``attend_pool`` node, and
@@ -95,12 +95,8 @@ class Vlm:
         out = T.record_op("attend_pool", x * inv, inputs, bwd)
         return (out, Tensor(attn)) if return_attention else out
 
-    def parameters(self):
-        for name in ("w_theta", "b_theta", "w_phi", "b_phi", "w_out", "b_out"):
-            yield name, getattr(self, name)
 
-
-class Lvm:
+class Lvm(init.Module):
     """Language-gated residual aggregation of the other levels' maps.
 
     One (weight, bias) gate projection per source level; the gate is a
@@ -111,7 +107,8 @@ class Lvm:
         self.target = target
         self.sources = tuple(l for l in TAPS if l != target)
         self.gates = {
-            src: (init.glorot(rng, (c_l, c_v), c_l, c_v), init.zeros((c_v,)))
+            src: (self.add(f"gate{src}.w", init.glorot(rng, (c_l, c_v), c_l, c_v)),
+                  self.add(f"gate{src}.b", init.zeros((c_v,))))
             for src in self.sources
         }
 
@@ -147,7 +144,7 @@ class Lvm:
             for f, y, w in reversed(terms):
                 y3 = y.reshape(1, 1, -1)
                 d_maps.insert(0, g * y3)
-                d_pre = _unbroadcast(g * f, y3.shape).reshape(y.shape) * y * (1.0 - y)
+                d_pre = (g * f).sum(axis=0).sum(axis=0).reshape(y.shape) * y * (1.0 - y)
                 d_params[:0] = (row.T @ d_pre, d_pre.sum(axis=0))
                 d_term = d_pre @ w.T
                 d_row = d_term if d_row is None else d_row + d_term
@@ -156,14 +153,8 @@ class Lvm:
         params = (t for pair in gates for t in pair)
         return T.record_op("gate_aggregate", out, (lang, target, *sources, *params), bwd)
 
-    def parameters(self):
-        for src in self.sources:
-            w, b = self.gates[src]
-            yield f"gate{src}.w", w
-            yield f"gate{src}.b", b
 
-
-class Cim:
+class Cim(init.Module):
     """The full schedule: ``rounds`` bilateral updates per cycle, with
     unshared parameters per (level, round); cycles reuse them."""
 
@@ -179,6 +170,12 @@ class Cim:
             i: [Lvm(i, c_l, c_v, rng=rng) for _ in range(rounds)]
             for i in TAPS
         }
+        # registered after construction: every Vlm draws from rng before any
+        # Lvm, while the names interleave them per level and round
+        for i in TAPS:
+            for m in range(rounds):
+                self.add(f"vlm{i}.r{m}", self.vlm[i][m])
+                self.add(f"lvm{i}.r{m}", self.lvm[i][m])
 
     def forward(self, lang0: Tensor, fused0: dict, cycles: int = 1) -> CimState:
         """All three levels start from the same language vector and evolve
@@ -195,11 +192,3 @@ class Cim:
                 new_fused = {i: self.lvm[i][m].forward(new_lang[i], fused) for i in TAPS}
                 lang, fused = new_lang, new_fused
         return CimState(lang=lang, fused=fused)
-
-    def parameters(self):
-        for i in TAPS:
-            for m in range(self.rounds):
-                for name, t in self.vlm[i][m].parameters():
-                    yield f"vlm{i}.r{m}.{name}", t
-                for name, t in self.lvm[i][m].parameters():
-                    yield f"lvm{i}.r{m}.{name}", t

@@ -128,9 +128,15 @@ def load_manifest(path) -> list:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: record is a JSON {type(obj).__name__}, "
+                                 f"not an object")
             missing = [f for f in _REQUIRED_FIELDS if f not in obj]
             if missing:
                 raise ValueError(f"{path}:{lineno}: missing fields {missing}")
+            not_text = [f for f in ("image", "mask", "affordance") if not isinstance(obj[f], str)]
+            if not_text:
+                raise ValueError(f"{path}:{lineno}: fields {not_text} must be text")
             phrases = obj["phrases"]
             if not isinstance(phrases, list) or not phrases or not all(
                 isinstance(p, str) and p.strip() for p in phrases

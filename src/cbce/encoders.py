@@ -109,7 +109,7 @@ class PhraseSet:
         return self.ids.shape[0]
 
 
-class VisualEncoder:
+class VisualEncoder(init.Module):
     """Five stages of 3x3 conv + ReLU + 2x2 mean pooling, tapping stages
     3..5 through per-level 1x1 projections onto a common grid."""
 
@@ -120,18 +120,18 @@ class VisualEncoder:
         self.feat_h, self.feat_w = feat_h, feat_w
         self.stages = []
         prev = 3
-        for c in stage_channels:
-            w = init.he(rng, (3, 3, prev, c), 9 * prev)
+        for i, c in enumerate(stage_channels, start=1):
+            w = self.add(f"stage{i}.w", init.he(rng, (3, 3, prev, c), 9 * prev))
             # small positive bias keeps deep-stage ReLUs alive at init
-            b = init.constant((c,), 0.1)
+            b = self.add(f"stage{i}.b", init.constant((c,), 0.1))
             self.stages.append((w, b))
             prev = c
         self.proj = {}
         for lvl in TAPS:
             c_in = stage_channels[lvl - 1]
             self.proj[lvl] = (
-                init.glorot(rng, (c_in, c_out), c_in, c_out),
-                init.zeros((c_out,)),
+                self.add(f"proj{lvl}.w", init.glorot(rng, (c_in, c_out), c_in, c_out)),
+                self.add(f"proj{lvl}.b", init.zeros((c_out,))),
             )
 
     def min_input_size(self) -> int:
@@ -154,17 +154,8 @@ class VisualEncoder:
                 levels[idx] = bilinear_upsample(feat, self.feat_h, self.feat_w)
         return levels
 
-    def parameters(self):
-        for i, (w, b) in enumerate(self.stages, start=1):
-            yield f"stage{i}.w", w
-            yield f"stage{i}.b", b
-        for lvl in TAPS:
-            w, b = self.proj[lvl]
-            yield f"proj{lvl}.w", w
-            yield f"proj{lvl}.b", b
 
-
-class PhraseEncoder:
+class PhraseEncoder(init.Module):
     """Embedding + single-layer LSTM shared across phrases; the final
     hidden states are max-pooled elementwise into the global feature.
     The whole phrase set is one fused ``lstm_phrases`` node."""
@@ -172,13 +163,13 @@ class PhraseEncoder:
     GATES = ("i", "f", "g", "o")
 
     def __init__(self, vocab_size: int, c_l: int, rng: np.random.Generator):
-        self.embedding = init.uniform(rng, (vocab_size, c_l), 0.08)
+        self.embedding = self.add("embedding", init.uniform(rng, (vocab_size, c_l), 0.08))
         self.wx, self.wh, self.b = {}, {}, {}
         for gate in self.GATES:
-            self.wx[gate] = init.glorot(rng, (c_l, c_l), c_l, c_l)
-            self.wh[gate] = init.glorot(rng, (c_l, c_l), c_l, c_l)
+            self.wx[gate] = self.add(f"wx_{gate}", init.glorot(rng, (c_l, c_l), c_l, c_l))
+            self.wh[gate] = self.add(f"wh_{gate}", init.glorot(rng, (c_l, c_l), c_l, c_l))
             # forget gate starts open so early gradients reach the embedding
-            self.b[gate] = init.constant((c_l,), 1.0 if gate == "f" else 0.0)
+            self.b[gate] = self.add(f"b_{gate}", init.constant((c_l,), 1.0 if gate == "f" else 0.0))
 
     def forward(self, phrases: PhraseSet) -> Tensor:
         """Pooled phrase vector: embedding lookup, the LSTM over every
@@ -271,10 +262,3 @@ class PhraseEncoder:
                     *(db[s] for s in gate_slices))
 
         return T.record_op("lstm_phrases", out, (embedding, *wx, *wh, *b), bwd)
-
-    def parameters(self):
-        yield "embedding", self.embedding
-        for gate in self.GATES:
-            yield f"wx_{gate}", self.wx[gate]
-            yield f"wh_{gate}", self.wh[gate]
-            yield f"b_{gate}", self.b[gate]

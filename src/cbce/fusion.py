@@ -47,17 +47,17 @@ def spatial_coords(h: int, w: int, dtype=np.float64) -> np.ndarray:
     return _coords_cached(int(h), int(w), np.dtype(dtype).name)
 
 
-class BilinearFusion:
+class BilinearFusion(init.Module):
     """Rank-R Hadamard bilinear pooling of one visual level with the
     language vector, applied position-wise with shared parameters."""
 
     def __init__(self, c_i: int, c_l: int, c_f: int, rank: int, rng: np.random.Generator):
-        self.wv = init.glorot(rng, (c_i, rank), c_i, rank)
-        self.bv = init.zeros((rank,))
-        self.wl = init.glorot(rng, (c_l, rank), c_l, rank)
-        self.bl = init.zeros((rank,))
-        self.wo = init.glorot(rng, (rank, c_f), rank, c_f)
-        self.bo = init.zeros((c_f,))
+        self.wv = self.add("wv", init.glorot(rng, (c_i, rank), c_i, rank))
+        self.bv = self.add("bv", init.zeros((rank,)))
+        self.wl = self.add("wl", init.glorot(rng, (c_l, rank), c_l, rank))
+        self.bl = self.add("bl", init.zeros((rank,)))
+        self.wo = self.add("wo", init.glorot(rng, (rank, c_f), rank, c_f))
+        self.bo = self.add("bo", init.zeros((c_f,)))
 
     def forward(self, visual: Tensor, lang: Tensor) -> Tensor:
         """``tanh(((x @ wv + bv) * (lang @ wl + bl)) @ wo + bo)`` at every
@@ -92,10 +92,6 @@ class BilinearFusion:
 
         inputs = (visual, lang, wv, bv, wl, bl, wo, bo)
         return T.record_op("bilinear_fuse", y.reshape(h, w, c_f), inputs, bwd)
-
-    def parameters(self):
-        for name in ("wv", "bv", "wl", "bl", "wo", "bo"):
-            yield name, getattr(self, name)
 
 
 def build_initial_fused(pyramid: dict, lang: Tensor, fusers: dict) -> dict:

@@ -116,7 +116,7 @@ def _rt(rng, *shape, scale=1.0):
 def _redrawn(module, rng, scale=1.0):
     """A module's parameters as checked inputs, redrawn from a scaled
     standard normal so activations leave their linear range."""
-    params = [t for _, t in module.parameters()]
+    params = list(module.parameters().values())
     for t in params:
         t.data = rng.standard_normal(t.shape) * scale
     return params
@@ -233,7 +233,7 @@ def micro_pipeline_entry(rng):
     cim = Cim(c_l, c_v, rounds=1, rng=rng)
     head = SegHead(len(TAPS) * c_v, c_a, rng=rng)
     target = (rng.random((2 * h, 2 * w)) > 0.5).astype(np.float64)
-    params = [t for mod in (cim, head) for _, t in mod.parameters()]
+    params = [t for mod in (cim, head) for t in mod.parameters().values()]
 
     def fn(*_):
         pred = head.forward(cim.forward(lang, feats).fused, (2 * h, 2 * w))

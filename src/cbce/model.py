@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import init
 from .cim import Cim, CimState
 from .encoders import TAPS, PhraseEncoder, PhraseSet, VisualEncoder
 from .fusion import BilinearFusion, build_initial_fused
@@ -47,26 +48,26 @@ class ModelConfig:
         return np.dtype(self.dtype)
 
 
-class CbceNet:
+class CbceNet(init.Module):
     """Cyclic bilateral consistency-enhancement network at desk scale."""
 
     def __init__(self, cfg: ModelConfig, vocab_size: int, rng):
         rng = np.random.default_rng(rng)  # a Generator passes through unchanged
         self.cfg = cfg
-        self.encoder = VisualEncoder(
+        self.encoder = self.add("encoder", VisualEncoder(
             stage_channels=cfg.backbone_channels,
             c_out=cfg.c_i,
             feat_h=cfg.feat_h,
             feat_w=cfg.feat_w,
             rng=rng,
-        )
-        self.phrase_encoder = PhraseEncoder(vocab_size, cfg.c_l, rng=rng)
+        ))
+        self.phrase_encoder = self.add("phrases", PhraseEncoder(vocab_size, cfg.c_l, rng=rng))
         self.fusers = {
-            i: BilinearFusion(cfg.c_i, cfg.c_l, cfg.c_f, cfg.rank, rng=rng)
+            i: self.add(f"fuse{i}", BilinearFusion(cfg.c_i, cfg.c_l, cfg.c_f, cfg.rank, rng=rng))
             for i in TAPS
         }
-        self.cim = Cim(cfg.c_l, cfg.c_v, rounds=cfg.rounds, rng=rng)
-        self.head = SegHead(len(TAPS) * cfg.c_v, cfg.c_a, rng=rng)
+        self.cim = self.add("cim", Cim(cfg.c_l, cfg.c_v, rounds=cfg.rounds, rng=rng))
+        self.head = self.add("head", SegHead(len(TAPS) * cfg.c_v, cfg.c_a, rng=rng))
         # modules draw float64 weights; this is the one cast to the configured precision
         for p in self.parameters().values():
             p.data = p.data.astype(cfg.np_dtype, copy=False)
@@ -85,21 +86,6 @@ class CbceNet:
 
     def loss(self, image: np.ndarray, phrases: PhraseSet, mask: np.ndarray) -> Tensor:
         return bce_loss(self.forward(image, phrases), mask)
-
-    def parameters(self) -> dict:
-        out = {}
-        for name, t in self.encoder.parameters():
-            out[f"encoder.{name}"] = t
-        for name, t in self.phrase_encoder.parameters():
-            out[f"phrases.{name}"] = t
-        for i in TAPS:
-            for name, t in self.fusers[i].parameters():
-                out[f"fuse{i}.{name}"] = t
-        for name, t in self.cim.parameters():
-            out[f"cim.{name}"] = t
-        for name, t in self.head.parameters():
-            out[f"head.{name}"] = t
-        return out
 
     def load_state(self, arrays: dict) -> None:
         """Copy name -> array into the parameter buffers, shape-checked.

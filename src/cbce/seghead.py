@@ -14,7 +14,7 @@ from .tensor import ShapeError, Tensor, _sigmoid, bce_with_logits_sum, concat, l
 ASPP_DILATIONS = (1, 3, 7, 11)
 
 
-class Aspp:
+class Aspp(init.Module):
     """Five parallel context branches fused by a 1x1 conv.
 
     Branch 1 pools globally, projects, and broadcasts back to the grid;
@@ -24,17 +24,17 @@ class Aspp:
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
-        self.gap_w = init.glorot(rng, (c_in, c_out), c_in, c_out)
-        self.gap_b = init.zeros((c_out,))
+        self.gap_w = self.add("gap.w", init.glorot(rng, (c_in, c_out), c_in, c_out))
+        self.gap_b = self.add("gap.b", init.zeros((c_out,)))
         self.branches = {}
         for d in ASPP_DILATIONS:
             self.branches[d] = (
-                init.glorot(rng, (3, 3, c_in), 9 * c_in, 9 * c_in),
-                init.glorot(rng, (c_in, c_out), c_in, c_out),
-                init.zeros((c_out,)),
+                self.add(f"d{d}.depthwise", init.glorot(rng, (3, 3, c_in), 9 * c_in, 9 * c_in)),
+                self.add(f"d{d}.pointwise", init.glorot(rng, (c_in, c_out), c_in, c_out)),
+                self.add(f"d{d}.bias", init.zeros((c_out,))),
             )
-        self.fuse_w = init.glorot(rng, (5 * c_out, c_out), 5 * c_out, c_out)
-        self.fuse_b = init.zeros((c_out,))
+        self.fuse_w = self.add("fuse.w", init.glorot(rng, (5 * c_out, c_out), 5 * c_out, c_out))
+        self.fuse_b = self.add("fuse.b", init.zeros((c_out,)))
 
     def forward(self, x: Tensor) -> Tensor:
         h, w, _ = x.shape
@@ -44,17 +44,6 @@ class Aspp:
             dw, pw, pb = self.branches[d]
             outs.append(linear(depthwise_conv2d(x, dw, dilation=d), pw, pb))
         return linear(concat(outs, axis=2), self.fuse_w, self.fuse_b)
-
-    def parameters(self):
-        yield "gap.w", self.gap_w
-        yield "gap.b", self.gap_b
-        for d in ASPP_DILATIONS:
-            dw, pw, pb = self.branches[d]
-            yield f"d{d}.depthwise", dw
-            yield f"d{d}.pointwise", pw
-            yield f"d{d}.bias", pb
-        yield "fuse.w", self.fuse_w
-        yield "fuse.b", self.fuse_b
 
 
 @dataclass
@@ -68,13 +57,13 @@ class MaskPrediction:
         return _sigmoid(self.logits.data)
 
 
-class SegHead:
+class SegHead(init.Module):
     """concat levels -> ASPP -> 1x1 to one channel -> bilinear upsample."""
 
     def __init__(self, c_in: int, c_a: int, rng: np.random.Generator):
-        self.aspp = Aspp(c_in, c_a, rng=rng)
-        self.mask_w = init.glorot(rng, (c_a, 1), c_a, 1)
-        self.mask_b = init.zeros((1,))
+        self.aspp = self.add("aspp", Aspp(c_in, c_a, rng=rng))
+        self.mask_w = self.add("mask.w", init.glorot(rng, (c_a, 1), c_a, 1))
+        self.mask_b = self.add("mask.b", init.zeros((1,)))
 
     def predict_mask(self, aspp_out: Tensor, image_size) -> MaskPrediction:
         h_img, w_img = image_size
@@ -86,12 +75,6 @@ class SegHead:
         """Concatenates the level -> (H, W, C) maps on channels, levels ascending."""
         maps = [fused[i] for i in sorted(fused)]
         return self.predict_mask(self.aspp.forward(concat(maps, axis=2)), image_size)
-
-    def parameters(self):
-        for name, t in self.aspp.parameters():
-            yield f"aspp.{name}", t
-        yield "mask.w", self.mask_w
-        yield "mask.b", self.mask_b
 
 
 def bce_loss(pred: MaskPrediction, gt: np.ndarray) -> Tensor:

@@ -191,18 +191,6 @@ def backward(loss: Tensor) -> None:
             t.grad = grads[key] if t.grad is None else t.grad + grads[key]
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # elementwise and linear-algebra operations
 

@@ -131,6 +131,9 @@ def model_from_checkpoint(ckpt: Checkpoint):
     keeps no activations for a backward pass. Resuming training from a
     checkpoint must not build its model through this function.
     """
+    for key in ("model", "vocab"):
+        if not isinstance(ckpt.config, dict) or key not in ckpt.config:
+            raise ValueError(f"checkpoint config has no {key!r} section")
     vocab = Vocabulary(list(ckpt.config["vocab"]))
     model = CbceNet(_section(ModelConfig, ckpt.config["model"], "model"), len(vocab), rng=0)
     model.load_state(ckpt.params)

@@ -5,8 +5,9 @@
 (outputs, every gradient and a few training steps) to the chains of
 one-node ops below. The small ops are recorded through
 ``tensor.record_op`` like any engine op, but the network no longer
-calls them, so they live here and not in the engine. So does the
-``np.add.at`` scatter that ``bilinear_upsample``'s backward replaced.
+calls them, so they live here and not in the engine. So do their
+``_unbroadcast`` and the ``np.add.at`` scatter that
+``bilinear_upsample``'s backward replaced.
 Tests also use ``mul`` and ``tsum`` to reduce an output to a scalar loss.
 """
 import numpy as np
@@ -14,7 +15,20 @@ import numpy as np
 from cbce import tensor as T
 from cbce.cim import L2_EPS
 from cbce.convops import _resize_axis
-from cbce.tensor import ShapeError, Tensor, _sigmoid, _unbroadcast
+from cbce.tensor import ShapeError, Tensor, _sigmoid
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back down to ``shape``."""
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
 
 # ---------------------------------------------------------------------------
 # one node per op

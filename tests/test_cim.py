@@ -133,7 +133,7 @@ def test_lvm_matches_loop_oracle_and_gradients():
                     expect[r, c, ch] += gate[ch] * feats[src].data[r, c, ch]
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
-    params = [t for _, t in mod.parameters()]
+    params = list(mod.parameters().values())
     rep = grad_check(lambda *_: mod.forward(lang, feats), [lang, *feats.values(), *params])
     assert rep.passed, rep
 
@@ -204,7 +204,7 @@ def test_cim_full_gradient_check_micro():
     lang0.requires_grad = True
     for t in fused0.values():
         t.requires_grad = True
-    params = [t for _, t in cim.parameters()]
+    params = list(cim.parameters().values())
 
     def fn(*_):
         state = cim.forward(lang0, fused0, cycles=1)
@@ -246,7 +246,7 @@ def test_fused_cim_bit_identical_to_per_op_recording(h, w, c_l, c_v, dtype, seed
     # vectors feed a Vlm and an Lvm each, and cycles reuse the parameters
     rng = _rng(seed)
     cim = Cim(c_l=c_l, c_v=c_v, rounds=2, rng=rng)
-    params = [t for _, t in cim.parameters()]
+    params = list(cim.parameters().values())
     for t in params:  # spread the values so gates leave their linear range
         t.data = rng.standard_normal(t.shape).astype(dtype)
     lang0 = Tensor(rng.standard_normal(c_l).astype(dtype), requires_grad=True)

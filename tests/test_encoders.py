@@ -53,7 +53,7 @@ def test_gradient_reaches_first_stage_from_level5_loss():
         rng=np.random.default_rng(5),
     )
     img = Tensor(np.random.default_rng(6).random((32, 32, 3)), requires_grad=True)
-    params = dict(enc.parameters())
+    params = enc.parameters()
     rep = grad_check(
         lambda *_: tsum(enc.forward(img)[5]),
         [img, params["stage1.w"], params["stage1.b"]],
@@ -150,7 +150,7 @@ def _phrase_set(rows, vocab_size):
 def _assert_fused_equals_reference(rows, vocab_size, c_l, dtype, seed):
     rng = np.random.default_rng(seed)
     enc = PhraseEncoder(vocab_size, c_l=c_l, rng=rng)
-    params = [t for _, t in enc.parameters()]
+    params = list(enc.parameters().values())
     for t in params:  # spread the values so gates leave their linear range
         t.data = rng.standard_normal(t.shape).astype(dtype)
     phrases = _phrase_set(rows, vocab_size)
@@ -166,7 +166,7 @@ def _assert_fused_equals_reference(rows, vocab_size, c_l, dtype, seed):
     assert out.dtype == dtype
     np.testing.assert_array_equal(out, ref_out)
     assert len(grads) == 13
-    for (name, _), g, ref in zip(enc.parameters(), grads, ref_grads):
+    for name, g, ref in zip(enc.parameters(), grads, ref_grads):
         assert g.dtype == dtype, name
         np.testing.assert_array_equal(g, ref, err_msg=name)
 

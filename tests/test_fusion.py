@@ -97,7 +97,7 @@ def test_fusion_gradients_micro():
     rng = np.random.default_rng(7)
     vis = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
     lang = Tensor(rng.standard_normal(2), requires_grad=True)
-    params = [t for _, t in fuse.parameters()]
+    params = list(fuse.parameters().values())
     rep = grad_check(lambda *_: fuse.forward(vis, lang), [vis, lang, *params])
     assert rep.passed, rep
 
@@ -156,7 +156,7 @@ def test_fused_fusion_bit_identical_to_per_op_recording(h, w, c_i, c_l, rank, c_
     # one language vector feeds every level, as in the network
     rng = np.random.default_rng(seed)
     fusers = {i: BilinearFusion(c_i, c_l, c_f, rank, rng=rng) for i in TAPS}
-    params = [t for i in TAPS for _, t in fusers[i].parameters()]
+    params = [t for i in TAPS for t in fusers[i].parameters().values()]
     for t in params:  # spread the values so the tanh leaves its linear range
         t.data = rng.standard_normal(t.shape).astype(dtype)
     lang = Tensor(rng.standard_normal(c_l).astype(dtype), requires_grad=True)

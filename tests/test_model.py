@@ -1,4 +1,5 @@
-"""Where the network's construction decisions live: precision and seeding."""
+"""Where the network's construction decisions live: precision, seeding and
+the parameter registry."""
 import dataclasses
 import hashlib
 import inspect
@@ -13,6 +14,7 @@ from cbce.encoders import PhraseEncoder, VisualEncoder
 from cbce.fusion import BilinearFusion
 from cbce.model import CbceNet
 from cbce.seghead import Aspp, SegHead
+from cbce.tensor import Tensor
 from cbce.train import load_config
 
 TOY_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json")
@@ -41,6 +43,36 @@ def test_initial_weights_pinned_in_configured_dtype(dtype):
         digest.update(t.dtype.name.encode())
         digest.update(np.ascontiguousarray(t.data).tobytes())
     assert digest.hexdigest() == INITIAL_WEIGHTS_SHA256[dtype]
+
+
+def _trainable_tensors(root) -> list:
+    """Every requires_grad Tensor held by root's attributes, through dicts,
+    lists, tuples and child modules; the registry itself is not walked."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor) and obj.requires_grad:
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, init.Module):
+            stack.extend(v for k, v in vars(obj).items() if k != "_registry")
+    return found
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_every_trainable_tensor_is_registered_once(dtype):
+    # a tensor created without Module.add would never be trained or saved
+    cfg = dataclasses.replace(load_config(TOY_CONFIG).model, dtype=dtype)
+    net = CbceNet(cfg, 20, rng=0)
+    params = list(net.parameters().values())
+    assert len({id(t) for t in params}) == len(params) == 125
+    assert {id(t) for t in _trainable_tensors(net)} == {id(t) for t in params}
 
 
 @pytest.mark.parametrize(

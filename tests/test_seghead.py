@@ -90,7 +90,7 @@ def test_predict_mask_gradients():
     head = SegHead(c_in=6, c_a=3, rng=np.random.default_rng(7))
     rng = np.random.default_rng(8)
     feats = [Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True) for _ in range(3)]
-    params = [t for _, t in head.parameters()]
+    params = list(head.parameters().values())
     rep = grad_check(
         lambda *_: head.forward(dict(zip((3, 4, 5), feats)), (6, 6)).logits,
         [*feats, *params],
@@ -166,7 +166,7 @@ def test_loss_decreases_under_small_gradient_step():
 
         before = loss_value()
         backward(before)
-        params = dict(head.parameters())
+        params = head.parameters()
         gmax = max(np.abs(p.grad).max() for p in params.values() if p.grad is not None)
         step = 1e-4 / max(1.0, gmax)
         for p in params.values():

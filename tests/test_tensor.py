@@ -39,6 +39,20 @@ from cbce.tensor import (
 from cbce.train import load_config, train
 
 TOY_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json")
+SEEDS = st.integers(0, 2**32 - 1)
+# the adjoint identity holds to the rounding of the dtype, relative to
+# the same sums taken over absolute values
+ADJOINT_TOL = {np.float32: 1e-4, np.float64: 1e-12}
+
+
+def _pullback(out: Tensor, x: Tensor, g: np.ndarray) -> np.ndarray:
+    """x's gradient of <out, g>: the op's transpose applied to g, exactly."""
+    backward(tsum(mul(out, Tensor(g))))
+    return x.grad
+
+
+def _dot(a, b) -> float:
+    return float(np.vdot(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
 
 
 # the per-op references in tests/per_op.py, which the fused ops are
@@ -139,6 +153,42 @@ def test_convs_reject_even_kernel_and_bad_dilation():
         convops.depthwise_conv2d(x, Tensor(np.zeros((3, 3, 1))), dilation=0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), cin=st.integers(1, 3), cout=st.integers(1, 3),
+       k=st.sampled_from([1, 3, 5]), seed=SEEDS)
+def test_conv2d_input_gradient_is_adjoint_of_forward(h, w, cin, cout, k, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((h, w, cin)).astype(dtype), requires_grad=True)
+    wt, b = (rng.standard_normal(shape).astype(dtype) for shape in ((k, k, cin, cout), (cout,)))
+    out = convops.conv2d(x, Tensor(wt), Tensor(b))
+    g = rng.standard_normal(out.shape).astype(dtype)
+    dx = _pullback(out, x, g)
+    assert out.shape == (h, w, cout) and out.dtype == dx.dtype == dtype
+    # <conv(x), g> - <b, sum g> == <x, conv^T g>
+    lhs = _dot(out.data, g) - _dot(b, g.astype(np.float64).sum(axis=(0, 1)))
+    scale = _dot(convops.conv2d(*(Tensor(np.abs(a)) for a in (x.data, wt, b))).data, np.abs(g))
+    assert abs(lhs - _dot(x.data, dx)) <= ADJOINT_TOL[dtype] * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 8), w=st.integers(1, 8), c=st.integers(1, 3),
+       k=st.sampled_from([1, 3, 5]), dilation=st.integers(1, 11), seed=SEEDS)
+def test_depthwise_conv2d_input_gradient_is_adjoint_of_forward(h, w, c, k, dilation, dtype,
+                                                               seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((h, w, c)).astype(dtype), requires_grad=True)
+    wt = rng.standard_normal((k, k, c)).astype(dtype)
+    out = convops.depthwise_conv2d(x, Tensor(wt), dilation=dilation)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    dx = _pullback(out, x, g)
+    assert out.shape == (h, w, c) and out.dtype == dx.dtype == dtype
+    scale = _dot(convops.depthwise_conv2d(Tensor(np.abs(x.data)), Tensor(np.abs(wt)),
+                                          dilation=dilation).data, np.abs(g))
+    assert abs(_dot(out.data, g) - _dot(x.data, dx)) <= ADJOINT_TOL[dtype] * scale
+
+
 # a depthwise-separable conv (the ASPP branch) is a per-channel 3x3, then
 # a pointwise linear mix
 def test_depthwise_separable_delta_identity():
@@ -211,7 +261,7 @@ def test_l2_normalize_zero_vector_survives():
     vlm = cim.Vlm(c_l=4, c_v=3, rng=rng)
     vlm.w_out.data[:] = 0.0
     vlm.b_out.data[:] = 0.0
-    params = [t for _, t in vlm.parameters()]
+    params = list(vlm.parameters().values())
     for t in params:
         t.requires_grad = True
     lang = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -305,6 +355,41 @@ def test_global_avg_pool_shape_and_value():
     out = convops.global_avg_pool(Tensor(x))
     assert out.shape == (1, 1, 3)
     np.testing.assert_allclose(out.data[0, 0], x.mean(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), c=st.integers(1, 4), seed=SEEDS)
+def test_global_avg_pool_keeps_dtype_and_is_adjoint(h, w, c, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((h, w, c)).astype(dtype), requires_grad=True)
+    out = convops.global_avg_pool(x)
+    assert out.shape == (1, 1, c) and out.dtype == dtype
+    g = rng.standard_normal(out.shape).astype(dtype)
+    dx = _pullback(out, x, g)
+    assert dx.dtype == dtype
+    scale = _dot(convops.global_avg_pool(Tensor(np.abs(x.data))).data, np.abs(g))
+    assert abs(_dot(out.data, g) - _dot(x.data, dx)) <= ADJOINT_TOL[dtype] * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3), seed=SEEDS)
+def test_relu_value_and_gradient(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape).astype(dtype)
+    pick = rng.random(shape)
+    data[pick < 0.2] = 0.0
+    data[pick > 0.8] = -0.0
+    x = Tensor(data, requires_grad=True)
+    out = T.relu(x)
+    assert out.dtype == dtype
+    assert not np.any(np.signbit(out.data)), "relu emitted a -0.0"
+    np.testing.assert_array_equal(out.data, np.maximum(data, 0.0))
+    g = rng.standard_normal(shape).astype(dtype)
+    dx = _pullback(out, x, g)
+    assert dx.dtype == dtype
+    np.testing.assert_array_equal(dx, np.where(data > 0, g, 0.0))
 
 
 def test_backward_sum_gives_ones():
@@ -462,6 +547,41 @@ def test_concat_then_slice_is_identity():
         cat = T.concat([a, b], axis=1)
         np.testing.assert_array_equal(cat.data[:, 0:2], a.data)
         np.testing.assert_array_equal(cat.data[:, 2:6], b.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=40, deadline=None)
+@given(ndim=st.integers(1, 3), data=st.data(), seed=SEEDS)
+def test_concat_shape_and_exact_gradient_split(ndim, data, dtype, seed):
+    axis = data.draw(st.integers(0, ndim - 1), label="axis")
+    base = data.draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim), label="shape")
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
+    rng = np.random.default_rng(seed)
+    parts = [Tensor(rng.standard_normal(base[:axis] + [n] + base[axis + 1:]).astype(dtype),
+                    requires_grad=True) for n in sizes]
+    out = T.concat(parts, axis=axis)
+    assert out.shape == tuple(base[:axis] + [sum(sizes)] + base[axis + 1:])
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis=axis))
+    g = rng.standard_normal(out.shape).astype(dtype)
+    backward(tsum(mul(out, Tensor(g))))
+    for part, piece in zip(parts, np.split(g, np.cumsum(sizes)[:-1], axis=axis)):
+        assert part.grad.dtype == dtype
+        np.testing.assert_array_equal(part.grad, piece)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=4), data=st.data(), seed=SEEDS)
+def test_reshape_keeps_row_major_order_and_reshapes_gradient_back(shape, data, dtype, seed):
+    target = tuple(data.draw(st.permutations(shape), label="target"))
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    out = T.reshape(x, target)
+    assert out.shape == target and out.dtype == dtype
+    np.testing.assert_array_equal(out.data.ravel(), x.data.ravel())
+    g = rng.standard_normal(target).astype(dtype)
+    np.testing.assert_array_equal(_pullback(out, x, g), g.reshape(shape))
 
 
 def test_concat_axis_mismatch():

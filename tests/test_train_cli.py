@@ -597,23 +597,78 @@ def test_tensor_in_unknown_group_is_a_validation_error(tmp_path, tiny_data, tiny
     assert err.startswith("error: ") and str(path) in err and "adam_w" in err
 
 
-def test_tensor_with_unknown_dtype_is_a_validation_error(tmp_path, tiny_data, tiny_ckpt, capsys):
-    # such an entry used to escape `cbce eval` as a KeyError
-    with open(tiny_ckpt, "rb") as fh:
+def _rewrite_header(src, dst, edit):
+    """Copy the checkpoint at src to dst with its JSON header replaced by
+    ``edit(header)``; returns the new header."""
+    with open(src, "rb") as fh:
         blob = fh.read()
     (hlen,) = struct.unpack("<Q", blob[12:20])  # after the magic and the version
-    header = json.loads(blob[20 : 20 + hlen])
-    entry = header["tensors"][3]
-    entry["dtype"] = "float16"
+    header = edit(json.loads(blob[20 : 20 + hlen]))
     new = json.dumps(header).encode()
+    dst.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new + blob[20 + hlen :])
+    return header
+
+
+def test_tensor_with_unknown_dtype_is_a_validation_error(tmp_path, tiny_data, tiny_ckpt, capsys):
+    # such an entry used to escape `cbce eval` as a KeyError
+    def edit(header):
+        header["tensors"][3]["dtype"] = "float16"
+        return header
+
     path = tmp_path / "odd.cbce"
-    path.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new + blob[20 + hlen :])
+    entry = _rewrite_header(tiny_ckpt, path, edit)["tensors"][3]
     with pytest.raises(ValueError, match=f"tensor '{entry['name']}' has unsupported dtype "
                                          "'float16'"):
         load_checkpoint(path)
     assert main(["eval", "--ckpt", str(path), "--data", tiny_data]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "float16" in err
+
+
+def _drop(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message, names_path", [
+    (list, "header is a JSON list, not an object", True),
+    (lambda h: _drop(h, "tensors"), "header has no 'tensors'", True),
+    (lambda h: _drop(h, "adam_t"), "header has no 'adam_t'", True),
+    (lambda h: {**h, "tensors": 5}, "header 'tensors' is not a list", True),
+    (lambda h: {**h, "tensors": [_drop(e, "offset") for e in h["tensors"]]},
+     "tensor entry has no 'offset'", True),
+    (lambda h: {**h, "config": _drop(h["config"], "vocab")},
+     "checkpoint config has no 'vocab' section", False),
+], ids=["list", "no-tensors", "no-adam_t", "tensors-number", "entry-no-offset", "no-vocab"])
+def test_malformed_checkpoint_header_is_a_validation_error(tmp_path, tiny_data, tiny_ckpt,
+                                                           capsys, edit, message, names_path):
+    # each used to escape `cbce eval` as a TypeError or a KeyError
+    path = tmp_path / "odd.cbce"
+    _rewrite_header(tiny_ckpt, path, edit)
+    assert main(["eval", "--ckpt", str(path), "--data", tiny_data]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert (str(path) in err) == names_path
+
+
+_RECORD = {"id": "x", "image": "i.ppm", "mask": "m.pgm", "affordance": "roll",
+           "phrases": ["can roll"]}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("5", "record is a JSON int, not an object"),
+    # `"id" in text` tests for a substring, so this passed the fields check
+    (json.dumps(" ".join(_RECORD)), "record is a JSON str, not an object"),
+    (json.dumps({**_RECORD, "image": 3}), r"fields \['image'\] must be text"),
+], ids=["number", "string", "image-number"])
+def test_manifest_line_that_is_not_a_record(tmp_path, tiny_ckpt, capsys, line, message):
+    # each used to escape `cbce eval` as a TypeError
+    path = tmp_path / "m.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=f"m.jsonl:1: {message}"):
+        load_manifest(path)
+    assert main(["eval", "--ckpt", tiny_ckpt, "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:1: ")
 
 
 @pytest.mark.parametrize("dtype", ["float16", "int32", "bfloat"])
