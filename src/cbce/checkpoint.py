@@ -103,6 +103,26 @@ def _object_with_keys(obj, keys, path, what: str) -> None:
         raise ValueError(f"checkpoint {path}: {what} has no {', '.join(map(repr, missing))}")
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_entry_types(ent: dict, path) -> None:
+    """Refuse, naming the path and the key, a tensor entry whose values
+    have the wrong JSON type for the payload arithmetic."""
+    for key in ("name", "group", "dtype"):
+        if not isinstance(ent[key], str):
+            raise ValueError(f"checkpoint {path}: tensor entry {key} {ent[key]!r} "
+                             f"is not a string")
+    for key in ("offset", "nbytes"):
+        if not _is_count(ent[key]):
+            raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} has {key} "
+                             f"{ent[key]!r}, not a non-negative integer")
+    if not isinstance(ent["shape"], list) or not all(map(_is_count, ent["shape"])):
+        raise ValueError(f"checkpoint {path}: tensor {ent['name']!r} has shape "
+                         f"{ent['shape']!r}, not a list of non-negative integers")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -118,6 +138,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"checkpoint {path}: header 'tensors' is not a list")
         for ent in header["tensors"]:
             _object_with_keys(ent, _ENTRY_KEYS, path, "tensor entry")
+            _check_entry_types(ent, path)
         # each tensor is read on its own, so no copy of the whole payload
         # is alive next to the arrays built from it
         start = fh.tell()

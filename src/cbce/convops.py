@@ -5,7 +5,9 @@ All maps are H x W x C. Convolutions are stride-1 cross-correlations with
 is dilated), implemented as k*k shifted matrix products so numpy's BLAS
 does the heavy lifting. Padding replicates the border pixel, so
 translation-invariant stacks keep spatially constant inputs exactly
-constant.
+constant. ``conv2d`` computes no input gradient for an input that
+requires none (the image). The 2x2 pooling sums each window with four
+strided adds rather than a mean over a 5-D view.
 """
 from __future__ import annotations
 
@@ -88,18 +90,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         for b in range(k):
             acc += xp[a : a + h, b : b + wid].reshape(-1, cin) @ wd[a, b]
     out = acc.reshape(h, wid, cout) + bias.data
+    need_dx = x.requires_grad  # an image or a frozen map takes no gradient
 
     def bwd(g):  # re-pads x rather than keeping the padded copy alive
         xp = _pad_edge(xd, (pad, pad), (pad, pad))
         g2 = g.reshape(-1, cout)
         dw = np.empty_like(wd)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros_like(xp) if need_dx else None
         for a in range(k):
             for b in range(k):
                 sl = (slice(a, a + h), slice(b, b + wid))
                 dw[a, b] = xp[sl].reshape(-1, cin).T @ g2
-                dxp[sl] += (g2 @ wd[a, b].T).reshape(h, wid, cin)
-        return _fold_pad_gradient(dxp, (pad, pad), (pad, pad)), dw, g.sum(axis=(0, 1))
+                if need_dx:
+                    dxp[sl] += (g2 @ wd[a, b].T).reshape(h, wid, cin)
+        dx = _fold_pad_gradient(dxp, (pad, pad), (pad, pad)) if need_dx else None
+        return dx, dw, g.sum(axis=(0, 1))
 
     return record_op("conv2d", out, (x, w, bias), bwd)
 
@@ -160,7 +165,9 @@ def avg_pool2d(x: Tensor) -> Tensor:
 
     An odd height or width is edge-replicated by one row or column before
     pooling, so the output always covers the full spatial extent and the
-    cell-to-pixel geometry stays consistent across input sizes.
+    cell-to-pixel geometry stays consistent across input sizes. Each window
+    sums row-major, ((a+b)+c)+d, then divides by 4: numpy's mean over the
+    window gives the same bits whenever there are at least 2 channels.
     """
     if x.ndim != 3:
         raise ShapeError(f"avg_pool2d input must be (H, W, C), got {x.shape}")
@@ -169,10 +176,16 @@ def avg_pool2d(x: Tensor) -> Tensor:
     h, w, c = x.shape
     ph, pw = h % 2, w % 2
     xp = _pad_edge(x.data, (0, ph), (0, pw))
-    out = xp.reshape(xp.shape[0] // 2, 2, xp.shape[1] // 2, 2, c).mean(axis=(1, 3))
+    top, bot = xp[0::2], xp[1::2]
+    out = top[:, 0::2] + top[:, 1::2]  # each window summed row-major, ((a+b)+c)+d
+    out += bot[:, 0::2]
+    out += bot[:, 1::2]
+    out /= 4
 
     def bwd(g):
-        spread = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4
+        oh, ow = g.shape[:2]
+        spread = np.empty((2 * oh, 2 * ow, c), dtype=g.dtype)
+        spread.reshape(oh, 2, ow, 2, c)[...] = (g / 4)[:, None, :, None]
         return (_fold_pad_gradient(spread, (0, ph), (0, pw)),)
 
     return record_op("avg_pool2d", out, (x,), bwd)

@@ -1,7 +1,8 @@
 """Input encoders: a small strided CNN for multi-level visual features and
 a shared-parameter recurrent encoder that pools phrase vectors into one
 global language feature. The phrase encoder records one fused node per
-phrase set (``lstm_phrases``), not one per gate and step.
+phrase set (``lstm_phrases``), not one per gate and step, and runs each
+step's elementwise gate work once over a (4, C) array of all four gates.
 """
 from __future__ import annotations
 
@@ -179,11 +180,13 @@ class PhraseEncoder(init.Module):
         ``add(add(x @ Wx, h @ Wh), b)``, the activations, the cell update
         and the max as separate ops. Every product keeps the (1, C) x
         (C, C) shape of those ops: stacking phrases or steps into rows, or
-        gates into columns, changes how BLAS sums for some widths. Only
-        the weight-gradient outer products (inner dimension 1, so exact)
-        are stacked by gate. Backward folds every gradient in the order
-        the engine would. Ties in the max route the gradient to the
-        earliest phrase.
+        gates into columns, changes how BLAS sums for some widths. The
+        products write into the rows of one (4, C) array per step, so the
+        bias add, the finite check and the activations run once over all
+        four gates (elementwise, hence exact). Only the weight-gradient
+        outer products (inner dimension 1, so exact) are stacked by gate.
+        Backward folds every gradient in the order the engine would. Ties
+        in the max route the gradient to the earliest phrase.
         """
         embedding = self.embedding
         if phrases.vocab_size != embedding.shape[0]:
@@ -192,28 +195,39 @@ class PhraseEncoder(init.Module):
             )
         ids, lengths = phrases.ids, phrases.lengths
         wx, wh, b = ([d[g] for g in self.GATES] for d in (self.wx, self.wh, self.b))
-        c = embedding.shape[1]
-        wxs, whs, bs = [w.data for w in wx], [w.data for w in wh], [t.data for t in b]
+        c, dtype = embedding.shape[1], embedding.dtype
+        wxs, whs = [w.data for w in wx], [w.data for w in wh]
+        b4 = np.stack([t.data for t in b])  # (4, C), rows i, f, g, o
+        pre = np.empty((4, c), dtype=dtype)  # gate pre-activations of one step
+        hw = np.empty((4, c), dtype=dtype)
+        # each gate's (1, C) products go straight into its row; np.dot is the
+        # same BLAS call as @ for these shapes, with less dispatch
+        x_rows = list(zip(wxs, (pre[k : k + 1] for k in range(4))))
+        h_rows = list(zip(whs, (hw[k : k + 1] for k in range(4))))
+        zero = np.zeros((1, c), dtype=dtype)  # every phrase's initial h and cell; never written
         tapes = []  # per phrase: (token ids, per-step saved values)
         finals = []
         for p in range(ids.shape[0]):
             pid = ids[p, : lengths[p]]
             xs = embedding.data[pid]
-            h = np.zeros((1, c), dtype=embedding.dtype)
-            cell = np.zeros((1, c), dtype=embedding.dtype)
+            h = cell = zero
             steps = []
             for t in range(pid.size):
                 x = xs[t : t + 1]
-                acts = []
-                for k in range(4):
-                    pre = (x @ wxs[k] + h @ whs[k]) + bs[k]
-                    # sigmoid would squash an overflowed pre-activation to a finite value
-                    _check_finite(pre, "lstm_phrases")
-                    acts.append(np.tanh(pre) if k == 2 else _sigmoid(pre))
+                for w, row in x_rows:
+                    np.dot(x, w, row)
+                for w, row in h_rows:
+                    np.dot(h, w, row)
+                pre += hw
+                pre += b4
+                # sigmoid would squash an overflowed pre-activation to a finite value
+                _check_finite(pre, "lstm_phrases")
+                acts = _sigmoid(pre)
+                acts[2] = np.tanh(pre[2])
                 i, f, g, o = acts
                 cell_prev, cell = cell, f * cell + i * g
                 tc = np.tanh(cell)
-                steps.append((x, h, cell_prev, i, f, g, o, tc))
+                steps.append((x, h, cell_prev, acts, tc))
                 h = o * tc
             tapes.append((pid, steps))
             finals.append(h.reshape(c))
@@ -226,35 +240,37 @@ class PhraseEncoder(init.Module):
             # walk phrases and steps newest first, folding each shared gradient
             # left in that order; per-gate terms of dx and dh sum as o, g, f, i
             dwx = dwh = db = demb = None
+            wxt, wht = [w.T for w in wxs], [w.T for w in whs]
+            dpre = np.empty((4, c), dtype=gout.dtype)  # one step's gate gradients, reused
+            drows = [dpre[k : k + 1] for k in range(4)]
+            dpre_cat = dpre.reshape(1, -1)
             for p in reversed(range(len(tapes))):
                 pid, steps = tapes[p]
                 dh = (gout * (winner == p)).reshape(1, c)
                 dc_carry = None
                 dxs = np.empty((pid.size, c), dtype=gout.dtype)
                 for t in reversed(range(pid.size)):
-                    x, h, cell_prev, i, f, g, o, tc = steps[t]
+                    x, h, cell_prev, (i, f, g, o), tc = steps[t]
                     d_o = dh * tc
                     dcell = (dh * o) * (1.0 - tc * tc)
                     if dc_carry is not None:
                         dcell = dc_carry + dcell
                     dc_carry = dcell * f
-                    dpre = (
-                        (dcell * g) * i * (1.0 - i),
-                        (dcell * cell_prev) * f * (1.0 - f),
-                        (dcell * i) * (1.0 - g * g),
-                        d_o * o * (1.0 - o),
-                    )
-                    dpre_cat = np.concatenate(dpre, axis=1)
-                    tx, th, tb = x.T @ dpre_cat, h.T @ dpre_cat, dpre_cat.sum(axis=0)
+                    np.multiply((dcell * g) * i, 1.0 - i, out=drows[0])
+                    np.multiply((dcell * cell_prev) * f, 1.0 - f, out=drows[1])
+                    np.multiply(dcell * i, 1.0 - g * g, out=drows[2])
+                    np.multiply(d_o * o, 1.0 - o, out=drows[3])
                     if dwx is None:
-                        dwx, dwh, db = tx, th, tb
+                        dwx, dwh, db = x.T @ dpre_cat, h.T @ dpre_cat, dpre_cat.sum(axis=0)
                     else:
-                        dwx, dwh, db = dwx + tx, dwh + th, db + tb
-                    dxs[t] = ((dpre[3] @ wxs[3].T + dpre[2] @ wxs[2].T)
-                              + dpre[1] @ wxs[1].T) + dpre[0] @ wxs[0].T
+                        dwx += x.T @ dpre_cat
+                        dwh += h.T @ dpre_cat
+                        db += dpre_cat[0]
+                    dxs[t] = ((drows[3] @ wxt[3] + drows[2] @ wxt[2])
+                              + drows[1] @ wxt[1]) + drows[0] @ wxt[0]
                     if t:  # the initial state is a constant
-                        dh = ((dpre[3] @ whs[3].T + dpre[2] @ whs[2].T)
-                              + dpre[1] @ whs[1].T) + dpre[0] @ whs[0].T
+                        dh = ((drows[3] @ wht[3] + drows[2] @ wht[2])
+                              + drows[1] @ wht[1]) + drows[0] @ wht[0]
                 table = np.zeros(embedding.shape, dtype=gout.dtype)
                 np.add.at(table, pid, dxs)
                 demb = table if demb is None else demb + table

@@ -134,7 +134,10 @@ def model_from_checkpoint(ckpt: Checkpoint):
     for key in ("model", "vocab"):
         if not isinstance(ckpt.config, dict) or key not in ckpt.config:
             raise ValueError(f"checkpoint config has no {key!r} section")
-    vocab = Vocabulary(list(ckpt.config["vocab"]))
+    tokens = ckpt.config["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("checkpoint config 'vocab' is not a list of strings")
+    vocab = Vocabulary(tokens)
     model = CbceNet(_section(ModelConfig, ckpt.config["model"], "model"), len(vocab), rng=0)
     model.load_state(ckpt.params)
     for p in model.parameters().values():

@@ -172,6 +172,25 @@ def test_conv2d_input_gradient_is_adjoint_of_forward(h, w, cin, cout, k, dtype, 
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_frozen_input_gets_no_gradient(dtype):
+    # an image (or any input that requires no grad) gets None, and the
+    # kernel and bias gradients are those of a grad-requiring input
+    rng = np.random.default_rng(8)
+    x, wt, b, g = (rng.standard_normal(shape).astype(dtype)
+                   for shape in ((7, 6, 3), (3, 3, 3, 4), (4,), (7, 6, 4)))
+    grads = {}
+    for needs in (False, True):
+        out = convops.conv2d(Tensor(x, requires_grad=needs), Tensor(wt, requires_grad=True),
+                             Tensor(b, requires_grad=True))
+        grads[needs] = out.node.backward_fn(g)
+    (dx, dw, db), (dx_ref, dw_ref, db_ref) = grads[False], grads[True]
+    assert dx is None and dx_ref.shape == x.shape
+    assert dw.dtype == db.dtype == dtype
+    np.testing.assert_array_equal(dw, dw_ref)
+    np.testing.assert_array_equal(db, db_ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @settings(max_examples=30, deadline=None)
 @given(h=st.integers(1, 8), w=st.integers(1, 8), c=st.integers(1, 3),
        k=st.sampled_from([1, 3, 5]), dilation=st.integers(1, 11), seed=SEEDS)
@@ -635,12 +654,25 @@ def test_pad_edge_matches_numpy_edge_padding(dtype):
 @given(h=st.integers(2, 15), w=st.integers(2, 15), c=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_avg_pool2d_odd_sizes_match_edge_padded_mean(dtype, h, w, c, seed):
+    # the reference sums each window row-major, ((a+b)+c)+d, then divides by
+    # 4. numpy's mean sums in that order when a window spans several
+    # channels; for a single channel it pairs (a+b)+(c+d), a last-bit
+    # difference, so the mean is compared only from c = 2 on
     x = np.random.default_rng(seed).standard_normal((h, w, c)).astype(dtype)
     xp = np.pad(x, ((0, h % 2), (0, w % 2), (0, 0)), mode="edge")
-    want = xp.reshape(xp.shape[0] // 2, 2, xp.shape[1] // 2, 2, c).mean(axis=(1, 3))
-    got = convops.avg_pool2d(Tensor(x)).data
-    assert got.dtype == dtype
-    np.testing.assert_array_equal(got, want)
+    win = xp.reshape(xp.shape[0] // 2, 2, xp.shape[1] // 2, 2, c)
+    want = (((win[:, 0, :, 0] + win[:, 0, :, 1]) + win[:, 1, :, 0]) + win[:, 1, :, 1]) / 4
+    xt = Tensor(x, requires_grad=True)
+    out = convops.avg_pool2d(xt)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.data, want)
+    if c >= 2:
+        np.testing.assert_array_equal(out.data, win.mean(axis=(1, 3)))
+    # each pixel takes a quarter of its window's gradient, folded off the padding
+    g = np.random.default_rng(seed + 1).standard_normal(out.shape).astype(dtype)
+    spread = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) / 4
+    np.testing.assert_array_equal(_pullback(out, xt, g),
+                                  convops._fold_pad_gradient(spread, (0, h % 2), (0, w % 2)))
 
 
 def test_record_op_custom_extension():

@@ -216,24 +216,27 @@ def test_frozen_forward_still_fails_fast(tiny_data, tiny_ckpt):
         model.forward(rec.load_image(), vocab.encode_phrases(rec.phrases))
 
 
-def _overflow_input_gate(params: dict) -> None:
-    # every x @ Wx_i sums c_l products of max magnitude: +inf, which sigmoid
-    # would squash to 1 if the pre-activation went unchecked
+def _overflow_gate(params: dict, gate: str) -> None:
+    # every x @ Wx of the gate sums c_l products of max magnitude: +inf,
+    # which sigmoid (or tanh, for g) would squash to a finite value if the
+    # pre-activation went unchecked; the other three gates stay finite
     params["phrases.embedding"][:] = 1.0
-    params["phrases.wx_i"][:] = np.finfo(params["phrases.wx_i"].dtype).max
+    params[f"phrases.wx_{gate}"][:] = np.finfo(params[f"phrases.wx_{gate}"].dtype).max
 
 
 def test_phrase_lstm_overflow_fails_fast(tiny_data, tiny_ckpt):
     rec = load_manifest(os.path.join(tiny_data, "test.jsonl"))[0]
-    ckpt = load_checkpoint(tiny_ckpt)
-    _overflow_input_gate(ckpt.params)
-    frozen, vocab = model_from_checkpoint(ckpt)
-    training = CbceNet(ModelConfig(**TINY_MODEL), len(vocab), rng=0)
-    _overflow_input_gate({k: t.data for k, t in training.parameters().items()})
-    phrases = vocab.encode_phrases(rec.phrases)
-    for model in (frozen, training):
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="'lstm_phrases'"):
-            model.forward(rec.load_image(), phrases)
+    for gate in ("i", "f", "g", "o"):
+        ckpt = load_checkpoint(tiny_ckpt)
+        _overflow_gate(ckpt.params, gate)
+        frozen, vocab = model_from_checkpoint(ckpt)
+        training = CbceNet(ModelConfig(**TINY_MODEL), len(vocab), rng=0)
+        _overflow_gate({k: t.data for k, t in training.parameters().items()}, gate)
+        phrases = vocab.encode_phrases(rec.phrases)
+        for model in (frozen, training):
+            with np.errstate(over="ignore"), \
+                    pytest.raises(NumericError, match="'lstm_phrases'"):
+                model.forward(rec.load_image(), phrases)
 
 
 def test_cli_eval_survives_constant_maps(tmp_path, tiny_data, tiny_ckpt, capsys):
@@ -629,6 +632,12 @@ def _drop(record: dict, key: str) -> dict:
     return {k: v for k, v in record.items() if k != key}
 
 
+def _entry(header: dict, key: str, value) -> dict:
+    """The header with one tensor entry's ``key`` set to ``value``."""
+    header["tensors"][3][key] = value
+    return header
+
+
 @pytest.mark.parametrize("edit, message, names_path", [
     (list, "header is a JSON list, not an object", True),
     (lambda h: _drop(h, "tensors"), "header has no 'tensors'", True),
@@ -638,10 +647,34 @@ def _drop(record: dict, key: str) -> dict:
      "tensor entry has no 'offset'", True),
     (lambda h: {**h, "config": _drop(h["config"], "vocab")},
      "checkpoint config has no 'vocab' section", False),
-], ids=["list", "no-tensors", "no-adam_t", "tensors-number", "entry-no-offset", "no-vocab"])
+    (lambda h: _entry(h, "offset", "0"), "has offset '0', not a non-negative integer", True),
+    (lambda h: _entry(h, "offset", -4), "has offset -4, not a non-negative integer", True),
+    (lambda h: _entry(h, "nbytes", 2.0), "has nbytes 2.0, not a non-negative integer", True),
+    (lambda h: _entry(h, "nbytes", True), "has nbytes True, not a non-negative integer", True),
+    (lambda h: _entry(h, "shape", 6), "has shape 6, not a list of non-negative integers", True),
+    (lambda h: _entry(h, "shape", [2, "3"]),
+     "has shape [2, '3'], not a list of non-negative integers", True),
+    (lambda h: _entry(h, "shape", [-1]), "has shape [-1], not a list of non-negative integers",
+     True),
+    (lambda h: _entry(h, "name", 7), "tensor entry name 7 is not a string", True),
+    (lambda h: _entry(h, "group", ["param"]), "tensor entry group ['param'] is not a string",
+     True),
+    (lambda h: _entry(h, "dtype", ["float32"]), "tensor entry dtype ['float32'] is not a string",
+     True),
+    (lambda h: {**h, "config": {**h["config"], "vocab": 5}},
+     "checkpoint config 'vocab' is not a list of strings", False),
+    (lambda h: {**h, "config": {**h["config"], "vocab": ["<pad>", "<unk>", 3]}},
+     "checkpoint config 'vocab' is not a list of strings", False),
+], ids=["list", "no-tensors", "no-adam_t", "tensors-number", "entry-no-offset", "no-vocab",
+        "offset-string", "offset-negative", "nbytes-float", "nbytes-bool", "shape-number",
+        "shape-string-dim", "shape-negative", "name-number", "group-list", "dtype-list",
+        "vocab-number", "vocab-token-number"])
 def test_malformed_checkpoint_header_is_a_validation_error(tmp_path, tiny_data, tiny_ckpt,
                                                            capsys, edit, message, names_path):
-    # each used to escape `cbce eval` as a TypeError or a KeyError
+    # each used to escape `cbce eval` as a TypeError or a KeyError (an
+    # offset of "0" in the payload-size sum, a list-valued group or dtype
+    # as an unhashable key), or to fail without naming the key; an offset
+    # of -4 or a shape of [-1] loaded without any error
     path = tmp_path / "odd.cbce"
     _rewrite_header(tiny_ckpt, path, edit)
     assert main(["eval", "--ckpt", str(path), "--data", tiny_data]) == 1

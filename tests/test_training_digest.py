@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cbce.checkpoint import load_checkpoint
-from cbce.datakit import synth_generate
-from cbce.train import load_config, train
+from cbce.datakit import load_manifest, synth_generate
+from cbce.train import load_config, model_from_checkpoint, train
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 TOY_CONFIG = os.path.join(HERE, "..", "configs", "toy.json")
@@ -78,13 +78,55 @@ def mid_digest(tmp_path):
     return _three_step_digest(cfg, tmp_path)
 
 
-def test_three_mid_steps_pinned(tmp_path):
+def _child_digest(func: str, tmp_path, *args) -> str:
+    """``func(tmp_path, *args)`` of this module, run in a child process
+    with one BLAS thread."""
     src = os.path.join(HERE, "..", "src")
-    child = ("import pathlib, sys; from test_training_digest import mid_digest; "
-             "print(mid_digest(pathlib.Path(sys.argv[1])))")
+    child = (f"import pathlib, sys; from test_training_digest import {func}; "
+             f"print({func}(pathlib.Path(sys.argv[1]), *sys.argv[2:]))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([HERE, src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", child, str(tmp_path), *args], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split()[-1] == MID_SHA256
+    return out.stdout.split()[-1]
+
+
+def test_three_mid_steps_pinned(tmp_path):
+    assert _child_digest("mid_digest", tmp_path) == MID_SHA256
+
+
+# sha256 over the probability-map bytes (with dtype name and shape) of the
+# first 3 held-out images, predicted through model_from_checkpoint from the
+# checkpoint of 3 configs/toy.json steps on 12 synthesized scenes, one BLAS
+# thread. Training digests pin the loss and gradients; this pins the
+# inference forward, which frozen models run without recording a graph
+INFERENCE_SHA256 = {
+    "float32": "0e5579a7e118adba7afc668d8a800590ded330754495af6b819b0a8247c8207e",
+    "float64": "1a7283732a057ecfff868fe6bc8f994c6da914532b4db565817d82c4ed9b34c6",
+}
+
+
+def inference_digest(tmp_path, dtype):
+    cfg = load_config(TOY_CONFIG)
+    cfg = dataclasses.replace(
+        cfg, max_steps=3, model=dataclasses.replace(cfg.model, dtype=dtype),
+        synth=dataclasses.replace(cfg.synth, samples=12),
+    )
+    synth_generate(cfg.synth, tmp_path / "data")
+    result = train(cfg, tmp_path / "data", tmp_path / "run")
+    model, vocab = model_from_checkpoint(load_checkpoint(result.checkpoint_path))
+    records = load_manifest(str(tmp_path / "data" / "test.jsonl"))[:3]
+    assert len(records) == 3
+    digest = hashlib.sha256()
+    for rec in records:
+        probs = model.forward(rec.load_image(),
+                              vocab.encode_phrases(rec.phrases[:cfg.model.n_phrases])).prob_map
+        digest.update(f"{probs.dtype.name}{probs.shape}".encode())
+        digest.update(np.ascontiguousarray(probs).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("dtype", sorted(INFERENCE_SHA256))
+def test_three_toy_predictions_pinned(dtype, tmp_path):
+    assert _child_digest("inference_digest", tmp_path, dtype) == INFERENCE_SHA256[dtype]
